@@ -85,6 +85,13 @@ class AccuracyWarning(UserWarning):
     """Requested point lies outside the validated accuracy window."""
 
 
+def lattice_pole_index(x: complex) -> int | None:
+    """k when x is within 1e-12 of the pole 2 pi i k, otherwise None: the
+    domain check of every closed form or product with poles on 2 pi i Z."""
+    k = round(x.imag / TWO_PI)
+    return k if abs(x - complex(0.0, TWO_PI * k)) < 1e-12 else None
+
+
 @dataclass(frozen=True)
 class EvaluationResult:
     """Value of a series/product together with bookkeeping.

@@ -40,6 +40,7 @@ from .core import (
     PoleHitSignal,
     TWO_PI,
     ZeroHitSignal,
+    lattice_pole_index,
     result_from_log,
 )
 from .spectra import Spectrum
@@ -68,6 +69,8 @@ class ZeroSet:
     symmetry="reflection" closure under z -> -conj(z); both are checked
     at construction (exact floating equality: conjugation and negation
     are exact operations, and symmetric sets should be built that way).
+    Outside the dataclass fields it keeps the location -> index map and
+    the ascending-|location| order in which products consume entries.
     """
 
     entries: tuple[ZeroEntry, ...]
@@ -75,15 +78,19 @@ class ZeroSet:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        seen: dict[complex, ZeroEntry] = {}
-        for e in self.entries:
+        seen: dict[complex, int] = {}
+        for i, e in enumerate(self.entries):
             if e.multiplicity < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {e.multiplicity}")
             if e.kind not in ("zero", "pole"):
                 raise ValueError(f"kind must be 'zero' or 'pole', got {e.kind!r}")
             if e.location in seen:
                 raise ValueError(f"duplicate location {e.location}; merge multiplicities")
-            seen[e.location] = e
+            seen[e.location] = i
+        object.__setattr__(self, "_index_of", seen)
+        locs = [e.location for e in self.entries]
+        object.__setattr__(self, "_order", tuple(sorted(
+            range(len(locs)), key=lambda i: (abs(locs[i]), locs[i].real, locs[i].imag))))
         if self.symmetry == "conjugate":
             image = lambda z: z.conjugate()
         elif self.symmetry == "reflection":
@@ -93,7 +100,8 @@ class ZeroSet:
         else:
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
         for e in self.entries:
-            partner = seen.get(image(e.location))
+            j = seen.get(image(e.location))
+            partner = self.entries[j] if j is not None else None
             if partner is None or partner.multiplicity != e.multiplicity \
                     or partner.kind != e.kind:
                 raise ValueError(
@@ -152,13 +160,6 @@ def duality_spacing(spec: Spectrum) -> DualitySpacing:
                           product=complex(0.0, TWO_PI))
 
 
-def _sorted_entries(zs: ZeroSet):
-    return sorted(range(len(zs.entries)),
-                  key=lambda i: (abs(zs.entries[i].location),
-                                 zs.entries[i].location.real,
-                                 zs.entries[i].location.imag))
-
-
 def general_weierstrass_eval(z: complex, zeros: ZeroSet, genus: int = 0,
                              pairing: PairingStrategy = PairingStrategy.UNPAIRED,
                              ) -> EvaluationResult:
@@ -182,9 +183,9 @@ def general_weierstrass_eval(z: complex, zeros: ZeroSet, genus: int = 0,
     if pairing is PairingStrategy.REFLECTION_PAIRS and zeros.symmetry != "reflection":
         raise ValueError("reflection_pairs pairing requires a reflection-closed ZeroSet")
 
-    by_location = {e.location: i for i, e in enumerate(zeros.entries)}
+    index_of = zeros._index_of
     # exact-location hits first, so grid scans can flag them
-    hit = by_location.get(z)
+    hit = index_of.get(z)
     if hit is not None:
         e = zeros.entries[hit]
         if e.kind == "zero":
@@ -203,7 +204,7 @@ def general_weierstrass_eval(z: complex, zeros: ZeroSet, genus: int = 0,
     total = 0j
     consumed = [False] * len(zeros.entries)
     used = 0
-    for i in _sorted_entries(zeros):
+    for i in zeros._order:
         if consumed[i]:
             continue
         consumed[i] = True
@@ -221,7 +222,7 @@ def general_weierstrass_eval(z: complex, zeros: ZeroSet, genus: int = 0,
                 f *= cmath.exp(z / a)
             partner = partner_of(a) if partner_of is not None else None
             if partner is not None and partner != a:
-                j = by_location.get(partner)
+                j = index_of.get(partner)
                 if j is not None and not consumed[j]:
                     consumed[j] = True
                     used += 1
@@ -257,14 +258,22 @@ def pole_product_oscillator(beta: complex, e0: float, n_factors: int = 1000,
     if n_factors < 1:
         raise ValueError(f"n_factors must be >= 1, got {n_factors}")
     x = complex(beta) * e0
-    k = round(x.imag / TWO_PI)
-    if abs(x - complex(0.0, TWO_PI * k)) < 1e-12:
+    k = lattice_pole_index(x)
+    if k is not None:
         raise PoleError(f"pole of the product at beta*E0 = 2*pi*i*{k}",
                         location=complex(beta), nearest=k)
     c = x * x / FOUR_PI_SQ
-    n = np.arange(1, n_factors + 1, dtype=np.float64)
-    log_denominator = cmath.log(x) + complex(np.sum(np.log(1.0 + c / (n * n))))
-    log_z = -log_denominator
+    n_sq = np.arange(1, n_factors + 1, dtype=np.float64) ** 2
+    # sum of log(1 + w), w = c/n^2, in real arithmetic: log|1 + w| by log1p
+    # of |1 + w|^2 - 1 = w_re (2 + w_re) + w_im^2, the principal arg by arctan2.
+    # Where w_re <= -1/2 that difference cancels (w -> -1 near the poles), but
+    # 1 + w_re is exact there, so log|1 + w| comes from hypot instead.
+    w_re, w_im = c.real / n_sq, c.imag / n_sq
+    near = w_re <= -0.5
+    log_abs = 0.5 * np.log1p(np.where(near, 0.0, w_re * (2.0 + w_re) + w_im * w_im))
+    log_abs[near] = np.log(np.hypot(1.0 + w_re[near], w_im[near]))
+    log_factors = complex(np.sum(log_abs), np.sum(np.arctan2(w_im, 1.0 + w_re)))
+    log_z = -(cmath.log(x) + log_factors)
     tail = c * float(polygamma(1, n_factors + 1))
     if tail_correction:
         log_z -= tail
@@ -288,8 +297,8 @@ def pole_product_oscillator_naive(beta: complex, e0: float,
     if not e0 > 0:
         raise ValueError(f"oscillator quantum must be positive, got {e0}")
     x = complex(beta) * e0
-    k = round(x.imag / TWO_PI)
-    if abs(x - complex(0.0, TWO_PI * k)) < 1e-12:
+    k = lattice_pole_index(x)
+    if k is not None:
         raise PoleError(f"pole at beta*E0 = 2*pi*i*{k}",
                         location=complex(beta), nearest=k)
     c = x * x / FOUR_PI_SQ

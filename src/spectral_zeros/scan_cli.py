@@ -4,8 +4,9 @@ A grid scan drives one of the named evaluators over a rectangle of the
 complex plane and records log|Z| and arg Z per node; pole and zero hits
 become flags on the node instead of propagating as errors.  Scans feed
 three writers (CSV table, JSON document, PGM heatmap) meant for offline
-plotting.  Rows are evaluated concurrently but output ordering is fixed
-by node index, so identical invocations produce byte-identical files.
+plotting.  Nodes are evaluated one after another on the calling thread,
+in node-index order, so identical invocations produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .qnm import (
 )
 from .spectra import closed_form_oscillator, oscillator, partition_direct
 from .zeta import (
+    _adaptive_cutoff,
     euler_product,
     explicit_formula_psi,
     find_zeros,
@@ -60,34 +62,37 @@ Region = tuple[float, float, float, float]
 Resolution = tuple[int, int]
 
 
-class GridNode(NamedTuple):
-    log_abs: float
-    arg: float
-    flag: str  # "", "zero", "pole"
+def _check_grid(region: Region, resolution: Resolution) -> None:
+    re_min, re_max, im_min, im_max = region
+    cols, rows = resolution
+    if cols < 1 or rows < 1:
+        raise ValueError("resolution must be positive")
+    if not (re_min < re_max and im_min < im_max):
+        raise ValueError("degenerate scan region")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridScan:
-    """Row-major rectangle of log|Z| / arg Z samples.
+    """Row-major rectangle of log|Z| / arg Z samples, held as arrays.
 
     Node index = row*cols + col, rows running from im_min upward; the
     node coordinates come from the same linspace axes every consumer
-    uses, so CSV output and the locators agree bit for bit.
+    uses, so CSV output and the locators agree bit for bit.  ``log_abs``
+    and ``arg`` are float arrays and ``flags`` a string array ("",
+    "zero" or "pole"), each of length cols*rows.
     """
 
     region: Region
     resolution: Resolution
-    values: tuple[GridNode, ...]
+    log_abs: np.ndarray
+    arg: np.ndarray
+    flags: np.ndarray
 
     def __post_init__(self):
-        re_min, re_max, im_min, im_max = self.region
+        _check_grid(self.region, self.resolution)
         cols, rows = self.resolution
-        if cols < 1 or rows < 1:
-            raise ValueError("resolution must be positive")
-        if not (re_min < re_max and im_min < im_max):
-            raise ValueError("degenerate scan region")
-        if len(self.values) != cols * rows:
-            raise ValueError("values length must equal cols*rows")
+        if not len(self.log_abs) == len(self.arg) == len(self.flags) == cols * rows:
+            raise ValueError("node arrays must have length cols*rows")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         re_min, re_max, im_min, im_max = self.region
@@ -101,7 +106,7 @@ class GridScan:
         return complex(re_axis[col], im_axis[row])
 
     def flag_count(self, flag: str) -> int:
-        return sum(1 for nd in self.values if nd.flag == flag)
+        return int(np.count_nonzero(self.flags == flag))
 
 
 # ----------------------------------------------------------------- evaluators
@@ -134,7 +139,7 @@ def make_evaluator(name: str, **params) -> Callable[[complex], object]:
         cutoff = take("cutoff", None)
         if cutoff is None:
             # adaptive: keeps the truncation window valid over any region
-            fn = lambda z: zeta_em(z, cutoff=max(100, math.ceil(2.0 * abs(z.imag) + 50.0)))
+            fn = lambda z: zeta_em(z, cutoff=_adaptive_cutoff(z.imag))
         else:
             c = int(cutoff)
             fn = lambda z: zeta_em(z, cutoff=c)
@@ -161,78 +166,53 @@ def make_evaluator(name: str, **params) -> Callable[[complex], object]:
     return fn
 
 
-def _evaluate_node(fn: Callable[[complex], object], z: complex) -> GridNode:
+def _evaluate_node(fn: Callable[[complex], object], z: complex) -> tuple[float, float, str]:
+    """(log_abs, arg, flag) of one node; signals and exact zeros become flags."""
     try:
         r = fn(z)
     except (PoleError, PoleHitSignal):
-        return GridNode(LOG_CLAMP, 0.0, "pole")
+        return LOG_CLAMP, 0.0, "pole"
     except (ZeroHitSignal, ZeroFactorSignal):
-        return GridNode(-LOG_CLAMP, 0.0, "zero")
+        return -LOG_CLAMP, 0.0, "zero"
     if isinstance(r, EvaluationResult):
         if r.value == 0:
-            return GridNode(-LOG_CLAMP, 0.0, "zero")
+            return -LOG_CLAMP, 0.0, "zero"
         log_v = r.log_value
     else:
         v = complex(r)
         if v == 0:
-            return GridNode(-LOG_CLAMP, 0.0, "zero")
+            return -LOG_CLAMP, 0.0, "zero"
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            return GridNode(LOG_CLAMP, 0.0, "pole")
+            return LOG_CLAMP, 0.0, "pole"
         log_v = cmath.log(v)
     la, ph = float(log_v.real), float(log_v.imag)
     if not (math.isfinite(la) and math.isfinite(ph)):
-        return GridNode(LOG_CLAMP, 0.0, "pole")
+        return LOG_CLAMP, 0.0, "pole"
     # winding streams can leave arg outside (-pi, pi]; report principal
     arg = math.remainder(ph, TWO_PI)
-    return GridNode(min(max(la, -LOG_CLAMP), LOG_CLAMP), arg, "")
-
-
-def _worker_count(rows: int) -> int:
-    cap = os.environ.get("SPECTRAL_ZEROS_THREADS")
-    workers = min(rows, os.cpu_count() or 1)
-    if cap is not None:
-        try:
-            n = int(cap)
-        except ValueError:
-            raise ValueError("SPECTRAL_ZEROS_THREADS must be a positive integer") from None
-        if n < 1:
-            raise ValueError("SPECTRAL_ZEROS_THREADS must be a positive integer")
-        workers = min(workers, n)
-    return max(1, workers)
+    return min(max(la, -LOG_CLAMP), LOG_CLAMP), arg, ""
 
 
 def grid_scan(evaluator: str, region: Region, resolution: Resolution,
-              params: dict | None = None, max_workers: int | None = None) -> GridScan:
+              params: dict | None = None) -> GridScan:
     """Sample log|Z| and arg Z of a named evaluator on a rectangle.
 
     Nodes that hit a pole or zero (signalled or value exactly 0) are
-    flagged, with log_abs clamped to +-745.  Rows are dispatched to a
-    thread pool (capped by SPECTRAL_ZEROS_THREADS); results are ordered
-    by node index, never by completion, so scans are deterministic.
+    flagged, with log_abs clamped to +-745.  Nodes are evaluated in
+    index order on the calling thread, so scans are deterministic.
     """
-    re_min, re_max, im_min, im_max = (float(x) for x in region)
-    cols, rows = (int(n) for n in resolution)
-    if cols < 1 or rows < 1:
-        raise ValueError("resolution must be positive")
-    if not (re_min < re_max and im_min < im_max):
-        raise ValueError("degenerate scan region")
+    region = tuple(float(x) for x in region)
+    resolution = tuple(int(n) for n in resolution)
+    _check_grid(region, resolution)
     fn = make_evaluator(evaluator, **(params or {}))
-    re_axis = np.linspace(re_min, re_max, cols)
-    im_axis = np.linspace(im_min, im_max, rows)
-
-    def scan_row(row: int) -> list[GridNode]:
-        y = im_axis[row]
-        return [_evaluate_node(fn, complex(re_axis[col], y)) for col in range(cols)]
-
-    workers = max_workers if max_workers is not None else _worker_count(rows)
-    if workers == 1:
-        per_row = [scan_row(j) for j in range(rows)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_row = list(pool.map(scan_row, range(rows)))
-    values = tuple(nd for row_nodes in per_row for nd in row_nodes)
-    return GridScan(region=(re_min, re_max, im_min, im_max),
-                    resolution=(cols, rows), values=values)
+    re_min, re_max, im_min, im_max = region
+    cols, rows = resolution
+    re_axis = np.linspace(re_min, re_max, cols).tolist()
+    im_axis = np.linspace(im_min, im_max, rows).tolist()
+    log_abs, arg, flags = zip(*(_evaluate_node(fn, complex(x, y))
+                                for y in im_axis for x in re_axis))
+    return GridScan(region=region, resolution=resolution, log_abs=np.array(log_abs),
+                    arg=np.array(arg), flags=np.array(flags, dtype="U4"))
 
 
 # ------------------------------------------------------------------- locators
@@ -248,26 +228,35 @@ def locate_zeros(scan: GridScan) -> list[complex]:
 
 
 def _located(scan: GridScan, kind: str) -> list[complex]:
-    hits = [scan.node_location(i) for i, nd in enumerate(scan.values)
-            if nd.flag == kind]
-    if hits:
-        return hits
-    cols, rows = scan.resolution
-    vals = np.array([nd.log_abs for nd in scan.values]).reshape(rows, cols)
-    if kind == "zero":
-        vals = -vals
-    out = []
-    for row in range(rows):
-        for col in range(cols):
-            v = vals[row, col]
-            hood = vals[max(0, row - 1):row + 2, max(0, col - 1):col + 2]
-            # strict: greater than every neighbor, no plateau ties
-            if not (hood > v).any() and (hood == v).sum() == 1:
-                out.append(scan.node_location(row * cols + col))
-    return out
+    hits = np.flatnonzero(scan.flags == kind)
+    if not hits.size:
+        cols, rows = scan.resolution
+        vals = scan.log_abs.reshape(rows, cols)
+        hits = np.flatnonzero(_strict_local_maxima(-vals if kind == "zero" else vals))
+    return [scan.node_location(int(i)) for i in hits]
+
+
+def _strict_local_maxima(vals: np.ndarray) -> np.ndarray:
+    """Mask of the nodes greater than every one of their 8 neighbors (no
+    plateau ties); the neighborhood is truncated at the grid edges."""
+    rows, cols = vals.shape
+    padded = np.pad(vals, 1, constant_values=-np.inf)
+    mask = np.ones(vals.shape, dtype=bool)
+    for dr, dc in itertools.product((0, 1, 2), repeat=2):
+        if (dr, dc) != (1, 1):
+            mask &= vals > padded[dr:dr + rows, dc:dc + cols]
+    return mask
 
 
 # -------------------------------------------------------------------- writers
+
+def _node_rows(scan: GridScan):
+    """(re, im, log_abs, arg, flag) per node in index order, as Python scalars."""
+    re_axis, im_axis = (a.tolist() for a in scan.axes())
+    return ((x, y, la, ph, flag) for (y, x), la, ph, flag in zip(
+        itertools.product(im_axis, re_axis),
+        scan.log_abs.tolist(), scan.arg.tolist(), scan.flags.tolist()))
+
 
 def write_csv(scan: GridScan, path) -> None:
     """One row per node, row-major; header re,im,log_abs,arg,flag.
@@ -275,26 +264,18 @@ def write_csv(scan: GridScan, path) -> None:
     Floats are written with repr (shortest round-trip form), so files
     are byte-stable across runs.
     """
-    re_axis, im_axis = scan.axes()
-    cols, _ = scan.resolution
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["re", "im", "log_abs", "arg", "flag"])
-        for idx, nd in enumerate(scan.values):
-            row, col = divmod(idx, cols)
-            w.writerow([repr(float(re_axis[col])), repr(float(im_axis[row])),
-                        repr(nd.log_abs), repr(nd.arg), nd.flag])
+        w.writerows([repr(x), repr(y), repr(la), repr(ph), flag]
+                    for x, y, la, ph, flag in _node_rows(scan))
 
 
 def write_json(scan: GridScan, path, meta: dict | None = None) -> None:
-    re_axis, im_axis = scan.axes()
-    cols, _ = scan.resolution
     doc = {
         "region": list(scan.region),
         "resolution": list(scan.resolution),
-        "nodes": [[float(re_axis[i % cols]), float(im_axis[i // cols]),
-                   nd.log_abs, nd.arg, nd.flag]
-                  for i, nd in enumerate(scan.values)],
+        "nodes": list(_node_rows(scan)),
     }
     if meta is not None:
         doc["meta"] = meta
@@ -308,8 +289,7 @@ def write_pgm(scan: GridScan, path) -> None:
     percentile window; a constant field comes out black.
     """
     cols, rows = scan.resolution
-    vals = np.clip([nd.log_abs for nd in scan.values], -LOG_CLAMP, LOG_CLAMP)
-    vals = vals.reshape(rows, cols)
+    vals = np.clip(scan.log_abs, -LOG_CLAMP, LOG_CLAMP).reshape(rows, cols)
     lo, hi = np.percentile(vals, [5.0, 95.0])
     if hi <= lo:
         pixels = np.zeros((rows, cols), dtype=np.uint8)
@@ -365,12 +345,12 @@ def _emit_scan(scan: GridScan, args, evaluator: str) -> None:
     out = getattr(args, "out", None)
     if out is None:
         poles, zeros = scan.flag_count("pole"), scan.flag_count("zero")
-        finite = [nd.log_abs for nd in scan.values if not nd.flag]
+        finite = scan.log_abs[scan.flags == ""]
         print(f"scan {evaluator}: {scan.resolution[0]}x{scan.resolution[1]} nodes "
               f"over [{scan.region[0]:g},{scan.region[1]:g}]x[{scan.region[2]:g},{scan.region[3]:g}]")
         print(f"flags: {poles} pole, {zeros} zero")
-        if finite:
-            print(f"log|Z| range: {min(finite):.6g} .. {max(finite):.6g}")
+        if finite.size:
+            print(f"log|Z| range: {finite.min():.6g} .. {finite.max():.6g}")
         for z in locate_poles(scan)[:8]:
             print(f"pole candidate near {z:.6g}")
         for z in locate_zeros(scan)[:8]:

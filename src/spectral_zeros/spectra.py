@@ -27,7 +27,7 @@ from .core import (
     DivergenceDomainError,
     EvaluationResult,
     PoleError,
-    TWO_PI,
+    lattice_pole_index,
     result_from_value,
 )
 
@@ -167,8 +167,8 @@ def closed_form_oscillator(beta: complex, e0: float) -> complex:
     if not e0 > 0:
         raise ValueError(f"oscillator quantum must be positive, got {e0}")
     x = complex(beta) * e0
-    k = round(x.imag / TWO_PI)
-    if abs(x - complex(0.0, TWO_PI * k)) < 1e-12:
+    k = lattice_pole_index(x)
+    if k is not None:
         raise PoleError(f"closed form has a pole at beta*E0 = 2*pi*i*{k}",
                         location=complex(beta), nearest=k)
     return 1.0 / (2.0 * cmath.sinh(0.5 * x))
@@ -184,8 +184,8 @@ def closed_form_affine(beta: complex, offset: float, gap: float) -> complex:
     if not gap > 0:
         raise ValueError(f"affine gap must be positive, got {gap}")
     x = complex(beta) * gap
-    k = round(x.imag / TWO_PI)
-    if abs(x - complex(0.0, TWO_PI * k)) < 1e-12:
+    k = lattice_pole_index(x)
+    if k is not None:
         raise PoleError(f"closed form has a pole at beta*gap = 2*pi*i*{k}",
                         location=complex(beta), nearest=k)
     return cmath.exp(-complex(beta) * offset) / (1.0 - cmath.exp(-x))

@@ -2,13 +2,18 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import polygamma
 
-from spectral_zeros.core import PoleError, PoleHitSignal, TWO_PI, ZeroHitSignal
+from spectral_zeros.core import (
+    PoleError, PoleHitSignal, TWO_PI, ZeroHitSignal, lattice_pole_index,
+)
 from spectral_zeros.product_forms import (
     DualitySpacing,
+    FOUR_PI_SQ,
     PairingStrategy,
     ZeroEntry,
     ZeroSet,
@@ -85,6 +90,46 @@ def test_small_beta_leading_order_is_inverse():
     beta = 1e-7
     r = pole_product_oscillator(beta, 1.0, n_factors=100)
     assert abs(r.value * beta - 1.0) < 1e-6
+
+
+def _complex_log_sum(beta, n_factors=1000):
+    # reference: the same truncated, tail-corrected product with numpy's
+    # complex log. It takes the same quotients c/n^2 as the code under test:
+    # near a pole the sum is as sensitive as 1/|beta - 2 pi i k| to their
+    # last bit, and numpy's complex division by n^2 rounds differently.
+    x = complex(beta)
+    c = x * x / FOUR_PI_SQ
+    n_sq = np.arange(1, n_factors + 1, dtype=np.float64) ** 2
+    w = c.real / n_sq + 1j * (c.imag / n_sq)
+    return -(cmath.log(x) + complex(np.sum(np.log(1.0 + w)))) \
+        - c * float(polygamma(1, n_factors + 1))
+
+
+def _assert_matches_complex_log_sum(beta):
+    r = pole_product_oscillator(beta, 1.0, n_factors=1000)
+    want = _complex_log_sum(beta)
+    assert math.isfinite(r.log_value.real) and math.isfinite(r.error_estimate)
+    assert abs(r.log_value.real - want.real) < 1e-12
+    assert abs(math.remainder(r.log_value.imag - want.imag, TWO_PI)) < 1e-12
+    # inside the truncation estimate, up to rounding of the value itself
+    assert abs(r.value - cmath.exp(want)) <= r.error_estimate + 1e-13 * abs(r.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-6.0, 6.0), st.floats(-20.0, 20.0))
+def test_factor_logs_match_the_complex_log_sum(re, im):
+    beta = complex(re, im)
+    assume(lattice_pole_index(beta) is None)
+    _assert_matches_complex_log_sum(beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, 3), st.floats(-11.0, -2.0), st.floats(0.0, TWO_PI))
+def test_factor_logs_near_the_poles(k, log10_eps, phase):
+    # 1 + c/n^2 -> 0 for n = |k|: log|1 + w| must not cancel there
+    beta = complex(0.0, TWO_PI * k) + 10.0 ** log10_eps * cmath.exp(1j * phase)
+    assume(lattice_pole_index(beta) is None)
+    _assert_matches_complex_log_sum(beta)
 
 
 def test_pole_signal_on_the_lattice():
