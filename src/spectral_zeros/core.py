@@ -1,14 +1,16 @@
 """Shared numerical kernels.
 
-Everything downstream (Boltzmann sums, Weierstrass/Hadamard products,
-zeta-regularized determinants) reduces to two primitives:
+The result and signal types every route returns or raises, the
+pole-lattice test, and two numerical primitives:
 
 * a principal-branch complex log-gamma, accurate to >= 12 significant
   digits for |z| <= 100, computed by Stirling's series after pushing the
   argument right with the recurrence log Gamma(z) = log Gamma(z+1) - log z;
+  the QNM gamma towers and the Riemann-Siegel theta are built on it;
 * a log-domain product accumulator that tracks the argument continuously
   between consecutive factors, so slowly winding products never lose a
-  branch.
+  branch.  It is a utility for callers with winding streams: the
+  library's own products pair their factors and sum principal logs.
 
 All functions are pure; nothing here holds mutable state.
 """

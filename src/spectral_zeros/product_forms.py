@@ -69,8 +69,9 @@ class ZeroSet:
     symmetry="reflection" closure under z -> -conj(z); both are checked
     at construction (exact floating equality: conjugation and negation
     are exact operations, and symmetric sets should be built that way).
-    Outside the dataclass fields it keeps the location -> index map and
-    the ascending-|location| order in which products consume entries.
+    Outside the dataclass fields it keeps the location -> index map, the
+    ascending-|location| order in which products consume entries and,
+    on a symmetric set, the index of each entry's image (else None).
     """
 
     entries: tuple[ZeroEntry, ...]
@@ -91,6 +92,7 @@ class ZeroSet:
         locs = [e.location for e in self.entries]
         object.__setattr__(self, "_order", tuple(sorted(
             range(len(locs)), key=lambda i: (abs(locs[i]), locs[i].real, locs[i].imag))))
+        object.__setattr__(self, "_partner", None)
         if self.symmetry == "conjugate":
             image = lambda z: z.conjugate()
         elif self.symmetry == "reflection":
@@ -99,13 +101,13 @@ class ZeroSet:
             return
         else:
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
-        for e in self.entries:
-            j = seen.get(image(e.location))
-            partner = self.entries[j] if j is not None else None
-            if partner is None or partner.multiplicity != e.multiplicity \
-                    or partner.kind != e.kind:
+        partner = tuple(seen.get(image(z)) for z in locs)
+        for e, j in zip(self.entries, partner):
+            mate = self.entries[j] if j is not None else None
+            if mate is None or mate.multiplicity != e.multiplicity or mate.kind != e.kind:
                 raise ValueError(
                     f"symmetry={self.symmetry} but no matching partner for {e.location}")
+        object.__setattr__(self, "_partner", partner)
 
 
 def zero_set_to_json(zs: ZeroSet) -> str:
@@ -183,9 +185,8 @@ def general_weierstrass_eval(z: complex, zeros: ZeroSet, genus: int = 0,
     if pairing is PairingStrategy.REFLECTION_PAIRS and zeros.symmetry != "reflection":
         raise ValueError("reflection_pairs pairing requires a reflection-closed ZeroSet")
 
-    index_of = zeros._index_of
     # exact-location hits first, so grid scans can flag them
-    hit = index_of.get(z)
+    hit = zeros._index_of.get(z)
     if hit is not None:
         e = zeros.entries[hit]
         if e.kind == "zero":
@@ -194,13 +195,8 @@ def general_weierstrass_eval(z: complex, zeros: ZeroSet, genus: int = 0,
         raise PoleHitSignal(f"evaluation point {z} is a pole of the product",
                             index=hit, location=z)
 
-    if pairing is PairingStrategy.CONJUGATE_PAIRS:
-        partner_of = lambda a: a.conjugate()
-    elif pairing is PairingStrategy.REFLECTION_PAIRS:
-        partner_of = lambda a: -a.conjugate()
-    else:
-        partner_of = None
-
+    # the checks above admit pairing only on a set closed under its map
+    partners = None if pairing is PairingStrategy.UNPAIRED else zeros._partner
     total = 0j
     consumed = [False] * len(zeros.entries)
     used = 0
@@ -220,16 +216,15 @@ def general_weierstrass_eval(z: complex, zeros: ZeroSet, genus: int = 0,
             f = 1.0 - z / a
             if genus == 1:
                 f *= cmath.exp(z / a)
-            partner = partner_of(a) if partner_of is not None else None
-            if partner is not None and partner != a:
-                j = index_of.get(partner)
-                if j is not None and not consumed[j]:
-                    consumed[j] = True
-                    used += 1
-                    g = 1.0 - z / partner
-                    if genus == 1:
-                        g *= cmath.exp(z / partner)
-                    f *= g
+            j = i if partners is None else partners[i]
+            if j != i and not consumed[j]:
+                consumed[j] = True
+                used += 1
+                partner = zeros.entries[j].location
+                g = 1.0 - z / partner
+                if genus == 1:
+                    g *= cmath.exp(z / partner)
+                f *= g
         if f == 0:
             # z is numerically on top of the locus without matching it exactly
             if e.kind == "zero":

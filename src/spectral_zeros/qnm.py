@@ -16,7 +16,9 @@ here solves a wave equation.  Two partition evaluations are built on it:
 * conjectured_partition_log: log Z = -S_E + sum log(1 - z/z*), the
   zero-product guess, evaluated through the shared Weierstrass engine
   so QNMs are literally zeros of Z (hitting one raises the zero-hit
-  signal).
+  signal).  Reflection closure z -> -conj(z) may hold to 1e-12; the
+  spectrum snaps its modes onto exact mirrors and builds the engine's
+  ZeroSet once, at construction, not per evaluation.
 
 The regularization is testable without trusting it: the ratio of two
 truncated towers, renormalized by N^(a-b), converges to
@@ -52,7 +54,13 @@ class InsufficientModesError(NumericalDomainError):
 
 @dataclass(frozen=True)
 class QNMSpectrum:
-    """Finite quasinormal spectrum plus saddle data; immutable input."""
+    """Finite quasinormal spectrum plus saddle data; immutable input.
+
+    symmetry="reflection": closed under z -> -conj(z) to within 1e-12.
+    Construction snaps inexact partners onto exact mirrors (a mode that is
+    its own near-mirror onto the imaginary axis) and builds the snapped
+    ZeroSet once; the modes field stays as given.
+    """
 
     modes: tuple[complex, ...]
     temperature: float
@@ -75,14 +83,28 @@ class QNMSpectrum:
         for z in self.modes:
             if z == 0:
                 raise ValueError("modes must be nonzero")
+        if self.symmetry not in ("none", "reflection"):
+            raise ValueError(f"unknown symmetry {self.symmetry!r}")
+        locations = list(self.modes)
         if self.symmetry == "reflection":
-            for z in self.modes:
+            index_of = {z: i for i, z in enumerate(locations)}
+            for i, z in enumerate(locations):
                 mirror = -z.conjugate()
-                if min(abs(w - mirror) for w in self.modes) > 1e-12:
+                if mirror in index_of:
+                    continue
+                # the first other mode within the slack becomes the exact mirror
+                j = next((j for j, w in enumerate(locations)
+                          if j != i and abs(w - mirror) <= 1e-12), None)
+                if j is None and abs(z - mirror) <= 1e-12:
+                    j, mirror = i, complex(0.0, z.imag)
+                if j is None:
                     raise ValueError(f"symmetry=reflection but mode {z} has no "
                                      f"partner near {mirror}")
-        elif self.symmetry != "none":
-            raise ValueError(f"unknown symmetry {self.symmetry!r}")
+                del index_of[locations[j]]
+                locations[j] = mirror
+                index_of[mirror] = j
+        object.__setattr__(self, "_zeros", ZeroSet(
+            tuple(ZeroEntry(z, 1, "zero") for z in locations), symmetry=self.symmetry))
 
 
 def qnm_to_json(spec: QNMSpectrum) -> str:
@@ -109,7 +131,10 @@ def qnm_from_json(text: str) -> QNMSpectrum:
 
 def load_qnm_file(path) -> QNMSpectrum:
     with open(path) as fh:
-        return qnm_from_json(fh.read())
+        try:
+            return qnm_from_json(fh.read())
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}: bad QNM spectrum: {type(e).__name__}: {e}") from None
 
 
 def gamma_regularized_tower(a: complex) -> complex:
@@ -177,35 +202,9 @@ def conjectured_partition_log(z: complex, spec: QNMSpectrum,
     if pairing is None:
         pairing = (PairingStrategy.REFLECTION_PAIRS
                    if spec.symmetry == "reflection" else PairingStrategy.UNPAIRED)
-    zs = _mode_zero_set(spec)
-    r = general_weierstrass_eval(complex(z), zs, genus=0, pairing=pairing)
+    r = general_weierstrass_eval(complex(z), spec._zeros, genus=0, pairing=pairing)
     return result_from_log(r.log_value - spec.euclidean_action,
                            r.error_estimate, r.terms_used)
-
-
-def _mode_zero_set(spec: QNMSpectrum) -> ZeroSet:
-    """Modes as a ZeroSet; reflection partners snapped to exact mirrors.
-
-    QNMSpectrum tolerates 1e-12 closure slack, ZeroSet checks closure
-    exactly; the snap rewrites each strictly-lower partner as the exact
-    mirror of its mate, moving it by at most the slack.
-    """
-    locations = list(spec.modes)
-    if spec.symmetry == "reflection":
-        exact = set(locations)
-        for i, z in enumerate(locations):
-            mirror = -z.conjugate()
-            if mirror in exact:
-                continue
-            for j, w in enumerate(locations):
-                if j != i and abs(w - mirror) <= 1e-12:
-                    exact.discard(locations[j])
-                    locations[j] = mirror
-                    exact.add(mirror)
-                    break
-    entries = tuple(ZeroEntry(z, 1, "zero") for z in locations)
-    return ZeroSet(entries,
-                   symmetry="reflection" if spec.symmetry == "reflection" else "none")
 
 
 class SpacingFit(NamedTuple):

@@ -571,7 +571,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -194,11 +194,12 @@ def hadamard_product(beta: complex, zeros: ZetaZeroTable, zero_count: int,
     if gamma_factor_terms < 1:
         raise ValueError(f"gamma_factor_terms must be >= 1, got {gamma_factor_terms}")
     g = np.asarray(zeros.ordinates[:zero_count])
-    for k, gk in enumerate(g):
-        if abs(beta - complex(0.5, gk)) < 1e-12 or abs(beta - complex(0.5, -gk)) < 1e-12:
-            raise ZeroHitSignal(f"beta lies on the nontrivial zero 1/2 +- i*{gk}",
-                                index=k, location=beta)
-
+    # abs(beta - complex(0.5, +-g_k)) < 1e-12 with abs's rounding (np.abs may differ)
+    hits = np.flatnonzero(np.hypot(beta.real - 0.5, abs(beta.imag) - g) < 1e-12)
+    if hits.size:
+        k = int(hits[0])
+        raise ZeroHitSignal(f"beta lies on the nontrivial zero 1/2 +- i*{g[k]}",
+                            index=k, location=beta)
     q = beta * beta - beta
     zero_factors = 1.0 + q / (0.25 + g * g)
     if np.any(zero_factors == 0):

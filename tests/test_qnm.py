@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_zeros.core import PoleError, TWO_PI, ZeroHitSignal
-from spectral_zeros.product_forms import PairingStrategy, pole_product_oscillator
+from spectral_zeros.product_forms import (
+    PairingStrategy,
+    ZeroEntry,
+    ZeroSet,
+    pole_product_oscillator,
+)
 from spectral_zeros.qnm import (
     InsufficientModesError,
     QNMSpectrum,
@@ -149,6 +154,21 @@ def test_near_mirror_modes_are_snapped():
     assert abs(r.log_value - want.log_value) < 1e-11
 
 
+def test_self_mirror_mode_near_the_axis_is_snapped():
+    # a mode within the slack of its own mirror has no other partner; it
+    # goes onto the imaginary axis, so the accepted spectrum evaluates
+    spec = QNMSpectrum(modes=(1e-13 - 1j, 1 - 2j, -1 - 2j), temperature=1.0,
+                       symmetry="reflection")
+    assert spec.modes[0] == 1e-13 - 1j
+    exact = QNMSpectrum(modes=(-1j, 1 - 2j, -1 - 2j), temperature=1.0,
+                        symmetry="reflection")
+    for z in (0.5, 0.3 + 0.7j, -2.0 - 1.0j):
+        assert (conjectured_partition_log(z, spec).log_value
+                == conjectured_partition_log(z, exact).log_value)
+    with pytest.raises(ZeroHitSignal):
+        conjectured_partition_log(-1j, spec)
+
+
 def test_structural_echo_of_the_oscillator_lattice():
     # conjugation-completed affine tower {+-2 pi i T n}: the conjectured
     # product over it is the reciprocal of the oscillator pole product
@@ -163,6 +183,109 @@ def test_structural_echo_of_the_oscillator_lattice():
     pp = pole_product_oscillator(z, 1.0 / T, n_factors=n_pairs, tail_correction=False)
     rhs = -(pp.log_value + cmath.log(z / T))
     assert abs(lhs - rhs) < 1e-10
+
+
+# Reference: the closure snap and the engine's per-call partner lookup as
+# they ran on every conjectured_partition_log call before the spectrum
+# built its ZeroSet once.  The product must come out bit for bit the same.
+
+def _reference_mode_zero_set(spec: QNMSpectrum) -> ZeroSet:
+    locations = list(spec.modes)
+    if spec.symmetry == "reflection":
+        exact = set(locations)
+        for i, z in enumerate(locations):
+            mirror = -z.conjugate()
+            if mirror in exact:
+                continue
+            for j, w in enumerate(locations):
+                if j != i and abs(w - mirror) <= 1e-12:
+                    exact.discard(locations[j])
+                    locations[j] = mirror
+                    exact.add(mirror)
+                    break
+    entries = tuple(ZeroEntry(z, 1, "zero") for z in locations)
+    return ZeroSet(entries,
+                   symmetry="reflection" if spec.symmetry == "reflection" else "none")
+
+
+def _reference_engine(z: complex, zeros: ZeroSet, pairing: PairingStrategy) -> complex:
+    """Genus-0 product over zeros, partners looked up per call."""
+    index_of = zeros._index_of
+    hit = index_of.get(z)
+    if hit is not None:
+        raise ZeroHitSignal("hit", index=hit, location=z)
+    if pairing is PairingStrategy.REFLECTION_PAIRS:
+        partner_of = lambda a: -a.conjugate()
+    else:
+        partner_of = None
+    total = 0j
+    consumed = [False] * len(zeros.entries)
+    for i in zeros._order:
+        if consumed[i]:
+            continue
+        consumed[i] = True
+        a = zeros.entries[i].location
+        f = 1.0 - z / a
+        partner = partner_of(a) if partner_of is not None else None
+        if partner is not None and partner != a:
+            j = index_of.get(partner)
+            if j is not None and not consumed[j]:
+                consumed[j] = True
+                f *= 1.0 - z / partner
+        if f == 0:
+            raise ZeroHitSignal("vanished", index=i, location=z)
+        total += cmath.log(f)
+    return total
+
+
+def _reference_conjectured(z: complex, spec: QNMSpectrum, pairing) -> complex:
+    if pairing is None:
+        pairing = (PairingStrategy.REFLECTION_PAIRS
+                   if spec.symmetry == "reflection" else PairingStrategy.UNPAIRED)
+    zeros = _reference_mode_zero_set(spec)
+    return _reference_engine(complex(z), zeros, pairing) - spec.euclidean_action
+
+
+@st.composite
+def reflection_spectra(draw):
+    """Reflection-closed spectra, some partners jittered by up to 1e-13.
+
+    Pair members sit on a 1/64 grid plus a per-pair offset below half a
+    step, so distinct modes stay far apart compared with the slack; real
+    modes take either sign of zero, axis modes are exact."""
+    cells = draw(st.lists(st.tuples(st.integers(1, 200), st.integers(-200, 200)),
+                          min_size=1, max_size=12, unique=True))
+    modes = []
+    for a, b in cells:
+        w = (a + draw(st.floats(0.0, 0.45))) / 64.0
+        k = (b + draw(st.floats(0.0, 0.45))) / 64.0 if b else 0.0
+        jitter = draw(st.one_of(st.just(0.0), st.floats(-1e-13, 1e-13)))
+        mirror_im = k if b else draw(st.sampled_from((0.0, -0.0)))
+        modes += [complex(w, k), complex(-w + jitter, mirror_im)]
+    axis = draw(st.lists(st.integers(-200, 200).filter(bool), max_size=4, unique=True))
+    modes += [complex(0.0, (b + 0.25) / 64.0) for b in axis]
+    order = draw(st.permutations(range(len(modes))))
+    return QNMSpectrum(modes=tuple(modes[i] for i in order), temperature=1.0,
+                       euclidean_action=draw(st.floats(0.0, 5.0)),
+                       symmetry="reflection")
+
+
+@given(reflection_spectra(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_conjectured_matches_per_call_reference(spec, data):
+    z = data.draw(st.one_of(
+        st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),
+        st.sampled_from(spec.modes)))
+    pairing = data.draw(st.sampled_from((None, PairingStrategy.UNPAIRED)))
+    try:
+        want = _reference_conjectured(z, spec, pairing)
+    except ZeroHitSignal as e:
+        with pytest.raises(ZeroHitSignal) as exc:
+            conjectured_partition_log(z, spec, pairing)
+        assert exc.value.index == e.index
+        return
+    got = conjectured_partition_log(z, spec, pairing).log_value
+    assert repr(got) == repr(want)  # bit for bit, signed zeros included
 
 
 # ----------------------------------------------------------------- spacing

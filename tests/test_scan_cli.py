@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from spectral_zeros import scan_cli
 from spectral_zeros.core import TWO_PI
 from spectral_zeros.qnm import QNMSpectrum, qnm_to_json
 from spectral_zeros.scan_cli import (
@@ -225,6 +226,32 @@ def test_cli_exit_codes(tmp_path):
     assert cli_dispatch(["qnm", "oneloop", "--spectrum", str(spec_file)]) == 2
     assert cli_dispatch(["zeta", "zeros", "--count", "2",
                          "--out", str(tmp_path / "no" / "dir" / "z.txt")]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    '{"temperature": 1.0}',
+    '{"modes": [[0.0, -1.0]]}',
+    '{"modes": 5, "temperature": 1.0}',
+    '{"modes": [[0.0, -1.0, 2.0]], "temperature": 1.0}',
+], ids=["not_json", "no_modes", "no_temperature", "modes_not_list", "three_numbers"])
+def test_cli_malformed_qnm_file_exits_2(tmp_path, capsys, text):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    for argv in (["qnm", "oneloop", "--spectrum", str(f)],
+                 ["qnm", "scan", "--spectrum", str(f), "--region", "-1", "1", "-1", "1",
+                  "--out", str(tmp_path / "s.csv")]):
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {f}: ") and err.count("\n") == 1
+
+
+def test_cli_numerical_failure_exits_2(monkeypatch, capsys):
+    def failing_find_zeros(*args, **kwargs):
+        raise ArithmeticError("located ordinate fails verification")
+    monkeypatch.setattr(scan_cli, "find_zeros", failing_find_zeros)
+    assert cli_dispatch(["zeta", "zeros", "--count", "3"]) == 2
+    assert "fails verification" in capsys.readouterr().err
 
 
 def test_cli_qnm_surface(tmp_path, capsys):

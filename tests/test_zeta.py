@@ -283,6 +283,14 @@ def test_hadamard_pole_and_zero_hit(zeros100):
         hadamard_product(complex(0.5, -g1), zeros100, 10)
 
 
+@pytest.mark.parametrize("k", [0, 1, 57, 99])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_hadamard_zero_hit_names_the_ordinate(zeros100, k, sign):
+    with pytest.raises(ZeroHitSignal) as exc:
+        hadamard_product(complex(0.5, sign * zeros100.ordinates[k]), zeros100, 100)
+    assert exc.value.index == k
+
+
 def test_hadamard_rejects_oversized_count(zeros100):
     with pytest.raises(ValueError):
         hadamard_product(2.0, zeros100, len(zeros100.ordinates) + 1)
