@@ -199,7 +199,6 @@ def general_weierstrass_eval(z: complex, zeros: ZeroSet, genus: int = 0,
     partners = None if pairing is PairingStrategy.UNPAIRED else zeros._partner
     total = 0j
     consumed = [False] * len(zeros.entries)
-    used = 0
     for i in zeros._order:
         if consumed[i]:
             continue
@@ -219,7 +218,6 @@ def general_weierstrass_eval(z: complex, zeros: ZeroSet, genus: int = 0,
             j = i if partners is None else partners[i]
             if j != i and not consumed[j]:
                 consumed[j] = True
-                used += 1
                 partner = zeros.entries[j].location
                 g = 1.0 - z / partner
                 if genus == 1:
@@ -234,8 +232,7 @@ def general_weierstrass_eval(z: complex, zeros: ZeroSet, genus: int = 0,
                                 index=i, location=z)
         lf = cmath.log(f)
         total += mult * (lf if e.kind == "zero" else -lf)
-        used += 1
-    return result_from_log(total, 0.0, used)
+    return result_from_log(total, 0.0, len(zeros.entries))
 
 
 def pole_product_oscillator(beta: complex, e0: float, n_factors: int = 1000,

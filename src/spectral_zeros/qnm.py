@@ -74,6 +74,11 @@ class QNMSpectrum:
                            tuple(float(c) for c in self.pol_coefficients))
         if not self.modes:
             raise ValueError("spectrum needs at least one mode")
+        for name, values in (("modes", self.modes), ("temperature", [self.temperature]),
+                             ("action", [self.euclidean_action]),
+                             ("pol coefficients", self.pol_coefficients)):
+            if not all(map(cmath.isfinite, values)):
+                raise ValueError(f"{name} must be finite")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.euclidean_action < 0:

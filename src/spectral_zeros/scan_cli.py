@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import inspect
 import itertools
 import json
 import math
@@ -67,6 +68,8 @@ def _check_grid(region: Region, resolution: Resolution) -> None:
     cols, rows = resolution
     if cols < 1 or rows < 1:
         raise ValueError("resolution must be positive")
+    if not all(map(math.isfinite, region)):
+        raise ValueError(f"scan region must be finite, got {list(region)}")
     if not (re_min < re_max and im_min < im_max):
         raise ValueError("degenerate scan region")
 
@@ -111,13 +114,53 @@ class GridScan:
 
 # ----------------------------------------------------------------- evaluators
 
-_EVALUATOR_NAMES = (
-    "oscillator_closed",
-    "oscillator_product",
-    "zeta_em",
-    "zeta_hadamard",
-    "qnm_conjectured",
-)
+# Each builder binds its keyword parameters, with their defaults, to a
+# z -> value callable.  The closures look up the library functions as
+# module globals at call time, so a name replaced in this module (to
+# trace or count calls) is seen by every later scan.
+
+def _oscillator_closed(e0=1.0):
+    e0 = float(e0)
+    return lambda z: closed_form_oscillator(z, e0)
+
+
+def _oscillator_product(e0=1.0, n_factors=1000):
+    e0, n_factors = float(e0), int(n_factors)
+    return lambda z: pole_product_oscillator(z, e0, n_factors=n_factors)
+
+
+def _zeta_em(cutoff=None):
+    if cutoff is None:
+        # adaptive: keeps the truncation window valid over any region
+        return lambda z: zeta_em(z, cutoff=_adaptive_cutoff(z.imag))
+    cutoff = int(cutoff)
+    return lambda z: zeta_em(z, cutoff=cutoff)
+
+
+def _zeta_hadamard(zeros=None, zero_count=None):
+    if isinstance(zeros, (str, os.PathLike)):
+        zeros = ingest_zeros_file(zeros)
+    if zeros is None:
+        zeros = find_zeros(int(zero_count) if zero_count is not None else 100)
+    k = int(zero_count) if zero_count is not None else len(zeros)
+    return lambda z: hadamard_product(z, zeros, k)
+
+
+def _qnm_conjectured(spectrum=None):
+    if spectrum is None:
+        raise ValueError("qnm_conjectured needs a spectrum (QNMSpectrum or file path)")
+    if not isinstance(spectrum, QNMSpectrum):
+        spectrum = load_qnm_file(spectrum)
+    return lambda z: conjectured_partition_log(z, spectrum)
+
+
+_EVALUATORS = {
+    "oscillator_closed": _oscillator_closed,
+    "oscillator_product": _oscillator_product,
+    "zeta_em": _zeta_em,
+    "zeta_hadamard": _zeta_hadamard,
+    "qnm_conjectured": _qnm_conjectured,
+}
 
 
 def make_evaluator(name: str, **params) -> Callable[[complex], object]:
@@ -125,45 +168,16 @@ def make_evaluator(name: str, **params) -> Callable[[complex], object]:
 
     The callable returns whatever the underlying routine returns (a bare
     complex or an EvaluationResult); grid_scan normalizes either.
-    Unknown names and leftover parameters raise ValueError.
+    Unknown names and leftover parameters raise ValueError before any
+    setup work (zero finding, file loading) is done.
     """
-    take = params.pop
-    if name == "oscillator_closed":
-        e0 = float(take("e0", 1.0))
-        fn = lambda z: closed_form_oscillator(z, e0)
-    elif name == "oscillator_product":
-        e0 = float(take("e0", 1.0))
-        n_factors = int(take("n_factors", 1000))
-        fn = lambda z: pole_product_oscillator(z, e0, n_factors=n_factors)
-    elif name == "zeta_em":
-        cutoff = take("cutoff", None)
-        if cutoff is None:
-            # adaptive: keeps the truncation window valid over any region
-            fn = lambda z: zeta_em(z, cutoff=_adaptive_cutoff(z.imag))
-        else:
-            c = int(cutoff)
-            fn = lambda z: zeta_em(z, cutoff=c)
-    elif name == "zeta_hadamard":
-        zeros = take("zeros", None)
-        count = take("zero_count", None)
-        if isinstance(zeros, (str, os.PathLike)):
-            zeros = ingest_zeros_file(zeros)
-        if zeros is None:
-            zeros = find_zeros(int(count) if count is not None else 100)
-        k = int(count) if count is not None else len(zeros)
-        fn = lambda z: hadamard_product(z, zeros, k)
-    elif name == "qnm_conjectured":
-        spectrum = take("spectrum", None)
-        if spectrum is None:
-            raise ValueError("qnm_conjectured needs a spectrum (QNMSpectrum or file path)")
-        if not isinstance(spectrum, QNMSpectrum):
-            spectrum = load_qnm_file(spectrum)
-        fn = lambda z: conjectured_partition_log(z, spectrum)
-    else:
+    builder = _EVALUATORS.get(name)
+    if builder is None:
         raise ValueError(f"unknown evaluator: {name!r}")
-    if params:
-        raise ValueError(f"unexpected parameters for {name}: {sorted(params)}")
-    return fn
+    unexpected = params.keys() - inspect.signature(builder).parameters.keys()
+    if unexpected:
+        raise ValueError(f"unexpected parameters for {name}: {sorted(unexpected)}")
+    return builder(**params)
 
 
 def _evaluate_node(fn: Callable[[complex], object], z: complex) -> tuple[float, float, str]:
@@ -182,8 +196,6 @@ def _evaluate_node(fn: Callable[[complex], object], z: complex) -> tuple[float, 
         v = complex(r)
         if v == 0:
             return -LOG_CLAMP, 0.0, "zero"
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            return LOG_CLAMP, 0.0, "pole"
         log_v = cmath.log(v)
     la, ph = float(log_v.real), float(log_v.imag)
     if not (math.isfinite(la) and math.isfinite(ph)):
@@ -440,28 +452,9 @@ def _cmd_qnm_fit(args) -> int:
     return 0
 
 
-def _cmd_qnm_scan(args) -> int:
-    spec = load_qnm_file(args.spectrum)
-    scan = grid_scan("qnm_conjectured", tuple(args.region), (args.cols, args.rows),
-                     params={"spectrum": spec})
-    _emit_scan(scan, args, "qnm_conjectured")
-    return 0
-
-
 def _cmd_scan(args) -> int:
-    params: dict = {}
-    if args.e0 is not None:
-        params["e0"] = args.e0
-    if args.n_factors is not None:
-        params["n_factors"] = args.n_factors
-    if args.cutoff is not None:
-        params["cutoff"] = args.cutoff
-    if args.zero_count is not None:
-        params["zero_count"] = args.zero_count
-    if args.zeros_file is not None:
-        params["zeros"] = args.zeros_file
-    if args.spectrum is not None:
-        params["spectrum"] = args.spectrum
+    params = {k: v for k in ("e0", "n_factors", "cutoff", "zero_count", "zeros", "spectrum")
+              if (v := getattr(args, k, None)) is not None}
     scan = grid_scan(args.evaluator, tuple(args.region), (args.cols, args.rows),
                      params=params)
     _emit_scan(scan, args, args.evaluator)
@@ -539,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qs = qsub.add_parser("scan", help="grid scan of the conjectured partition")
     qs.add_argument("--spectrum", required=True)
     _grid_args(qs)
-    qs.set_defaults(func=_cmd_qnm_scan)
+    qs.set_defaults(func=_cmd_scan, evaluator="qnm_conjectured")
 
     qf = qsub.add_parser("fit", help="asymptotic spacing fit of the mode tail")
     qf.add_argument("--spectrum", required=True)
@@ -548,13 +541,13 @@ def _build_parser() -> argparse.ArgumentParser:
     qf.set_defaults(func=_cmd_qnm_fit)
 
     sc = sub.add_parser("scan", help="grid scan of a named evaluator")
-    sc.add_argument("--evaluator", required=True, choices=list(_EVALUATOR_NAMES))
+    sc.add_argument("--evaluator", required=True, choices=list(_EVALUATORS))
     _grid_args(sc)
     sc.add_argument("--e0", type=float, default=None)
     sc.add_argument("--n-factors", type=int, default=None)
     sc.add_argument("--cutoff", type=int, default=None)
     sc.add_argument("--zero-count", type=int, default=None)
-    sc.add_argument("--zeros-file", default=None)
+    sc.add_argument("--zeros-file", dest="zeros", metavar="ZEROS_FILE", default=None)
     sc.add_argument("--spectrum", default=None)
     sc.set_defaults(func=_cmd_scan)
 

@@ -61,6 +61,13 @@ _BERNOULLI_EVEN = (
     43867.0 / 798.0,
 )
 
+# M, the gamma-factor terms of hadamard_product, and its trigamma tail psi'(M+1)
+_GAMMA_FACTOR_TERMS = 200
+_TRIGAMMA_TAIL = float(polygamma(1, _GAMMA_FACTOR_TERMS + 1))
+
+# step of the critical-line sign scan in find_zeros
+_SCAN_STEP = 0.25
+
 
 class WindowExhaustedError(NumericalDomainError):
     """Zero scan ran out of window before finding the requested count."""
@@ -89,6 +96,8 @@ class ZetaZeroTable:
     def __post_init__(self):
         object.__setattr__(self, "ordinates", tuple(float(g) for g in self.ordinates))
         for i, g in enumerate(self.ordinates):
+            if not math.isfinite(g):
+                raise ValueError(f"ordinate {g} at index {i} is not finite")
             if not g > 13.0:
                 raise ValueError(f"ordinate {g} at index {i} below the first zero")
             if i and not g > self.ordinates[i - 1]:
@@ -171,8 +180,7 @@ def euler_product(s: complex, prime_limit: int) -> EvaluationResult:
     return result_from_log(log_z, err, len(p))
 
 
-def hadamard_product(beta: complex, zeros: ZetaZeroTable, zero_count: int,
-                     gamma_factor_terms: int = 200) -> EvaluationResult:
+def hadamard_product(beta: complex, zeros: ZetaZeroTable, zero_count: int) -> EvaluationResult:
     """Zeta rebuilt from its zeros:
 
         exp((gamma_E + ln pi) beta/2 - ln 2) * 1/(beta-1)
@@ -191,8 +199,6 @@ def hadamard_product(beta: complex, zeros: ZetaZeroTable, zero_count: int,
                         location=beta, nearest=1)
     if zero_count < 0 or zero_count > len(zeros.ordinates):
         raise ValueError(f"zero_count={zero_count} exceeds table size {len(zeros.ordinates)}")
-    if gamma_factor_terms < 1:
-        raise ValueError(f"gamma_factor_terms must be >= 1, got {gamma_factor_terms}")
     g = np.asarray(zeros.ordinates[:zero_count])
     # abs(beta - complex(0.5, +-g_k)) < 1e-12 with abs's rounding (np.abs may differ)
     hits = np.flatnonzero(np.hypot(beta.real - 0.5, abs(beta.imag) - g) < 1e-12)
@@ -206,26 +212,26 @@ def hadamard_product(beta: complex, zeros: ZetaZeroTable, zero_count: int,
         k = int(np.flatnonzero(zero_factors == 0)[0])
         raise ZeroHitSignal("beta lies on a paired zero factor", index=k, location=beta)
 
-    n = np.arange(1, gamma_factor_terms + 1, dtype=np.float64)
+    n = np.arange(1, _GAMMA_FACTOR_TERMS + 1, dtype=np.float64)
     w = beta / (2.0 * n)
     gamma_factors = 1.0 + w
     if np.any(gamma_factors == 0):
         # beta = -2n: a trivial zero, an exact value rather than a signal
-        return result_from_value(0j, 0.0, zero_count + gamma_factor_terms)
+        return result_from_value(0j, 0.0, zero_count + _GAMMA_FACTOR_TERMS)
 
     log_z = (EULER_GAMMA + LOG_PI) * beta / 2.0 - LOG_TWO
     log_z -= cmath.log(beta - 1.0)
     log_z += complex(np.sum(np.log(zero_factors)))
     log_z += complex(np.sum(np.log(gamma_factors) - w))
-    log_z -= beta * beta / 8.0 * float(polygamma(1, gamma_factor_terms + 1))
+    log_z -= beta * beta / 8.0 * _TRIGAMMA_TAIL
 
     if zero_count:
         gk = float(g[-1])
         zero_tail = (math.log(gk / TWO_PI) + 1.0) / (TWO_PI * gk)
     else:
         zero_tail = 0.023  # sum over every zero pair, no table at all
-    log_err = abs(q) * zero_tail + abs(beta) ** 3 / (48.0 * gamma_factor_terms ** 2)
-    r = result_from_log(log_z, 0.0, zero_count + gamma_factor_terms)
+    log_err = abs(q) * zero_tail + abs(beta) ** 3 / (48.0 * _GAMMA_FACTOR_TERMS ** 2)
+    r = result_from_log(log_z, 0.0, zero_count + _GAMMA_FACTOR_TERMS)
     return EvaluationResult(value=r.value, log_value=r.log_value,
                             error_estimate=abs(r.value) * log_err,
                             terms_used=r.terms_used)
@@ -259,15 +265,16 @@ def _estimated_window(count: int) -> float:
     return 1.2 * t
 
 
-def find_zeros(count: int, t_max: float | None = None,
-               scan_step: float = 0.25) -> ZetaZeroTable:
+def find_zeros(count: int, t_max: float | None = None) -> ZetaZeroTable:
     """First `count` critical-line ordinates by scan + bisection on hardy_z.
 
-    Deterministic: fixed scan grid, fixed bisection depth (|dt| < 1e-9),
-    every ordinate re-verified |zeta(1/2 + i gamma)| < 1e-8.  Raises
-    WindowExhaustedError if t_max (given or estimated) is hit first; the
-    caller enlarges the window.  Validated for count <= 100; gaps between
-    higher zeros eventually shrink below scan_step.
+    Deterministic: fixed scan grid of step 0.25, fixed bisection depth
+    (|dt| < 1e-9), every ordinate re-verified |zeta(1/2 + i gamma)| < 1e-8.
+    Raises WindowExhaustedError if t_max (given or estimated) is hit first;
+    the caller enlarges the window.  Known miss: two zeros in one scan cell
+    give no sign change, so both are skipped and every later index shifts.
+    The first such pair is gamma_922/gamma_923 (t = 1329.04, 1329.21): the
+    table is exact for count <= 921 only.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -277,11 +284,12 @@ def find_zeros(count: int, t_max: float | None = None,
     t = 2.0
     z_prev = hardy_z(t)
     while len(found) < count and t < t_max:
-        t_next = t + scan_step
+        t_next = t + _SCAN_STEP
         z_next = hardy_z(t_next)
         if z_prev == 0.0:
             found.append(t)
-        elif (z_prev < 0) != (z_next < 0):
+        elif z_next != 0.0 and (z_prev < 0) != (z_next < 0):
+            # a zero exactly on t_next is appended at the next step instead
             lo, hi = t, t_next
             zlo = z_prev
             while hi - lo > 1e-9:

@@ -208,8 +208,10 @@ def _reference_mode_zero_set(spec: QNMSpectrum) -> ZeroSet:
                    symmetry="reflection" if spec.symmetry == "reflection" else "none")
 
 
-def _reference_engine(z: complex, zeros: ZeroSet, pairing: PairingStrategy) -> complex:
-    """Genus-0 product over zeros, partners looked up per call."""
+def _reference_engine(z: complex, zeros: ZeroSet,
+                      pairing: PairingStrategy) -> tuple[complex, int]:
+    """Genus-0 product over zeros, partners looked up per call; returns the
+    log and the number of entries consumed."""
     index_of = zeros._index_of
     hit = index_of.get(z)
     if hit is not None:
@@ -219,11 +221,13 @@ def _reference_engine(z: complex, zeros: ZeroSet, pairing: PairingStrategy) -> c
     else:
         partner_of = None
     total = 0j
+    used = 0
     consumed = [False] * len(zeros.entries)
     for i in zeros._order:
         if consumed[i]:
             continue
         consumed[i] = True
+        used += 1
         a = zeros.entries[i].location
         f = 1.0 - z / a
         partner = partner_of(a) if partner_of is not None else None
@@ -231,19 +235,21 @@ def _reference_engine(z: complex, zeros: ZeroSet, pairing: PairingStrategy) -> c
             j = index_of.get(partner)
             if j is not None and not consumed[j]:
                 consumed[j] = True
+                used += 1
                 f *= 1.0 - z / partner
         if f == 0:
             raise ZeroHitSignal("vanished", index=i, location=z)
         total += cmath.log(f)
-    return total
+    return total, used
 
 
-def _reference_conjectured(z: complex, spec: QNMSpectrum, pairing) -> complex:
+def _reference_conjectured(z: complex, spec: QNMSpectrum, pairing) -> tuple[complex, int]:
     if pairing is None:
         pairing = (PairingStrategy.REFLECTION_PAIRS
                    if spec.symmetry == "reflection" else PairingStrategy.UNPAIRED)
     zeros = _reference_mode_zero_set(spec)
-    return _reference_engine(complex(z), zeros, pairing) - spec.euclidean_action
+    total, used = _reference_engine(complex(z), zeros, pairing)
+    return total - spec.euclidean_action, used
 
 
 @st.composite
@@ -278,14 +284,15 @@ def test_conjectured_matches_per_call_reference(spec, data):
         st.sampled_from(spec.modes)))
     pairing = data.draw(st.sampled_from((None, PairingStrategy.UNPAIRED)))
     try:
-        want = _reference_conjectured(z, spec, pairing)
+        want, want_used = _reference_conjectured(z, spec, pairing)
     except ZeroHitSignal as e:
         with pytest.raises(ZeroHitSignal) as exc:
             conjectured_partition_log(z, spec, pairing)
         assert exc.value.index == e.index
         return
-    got = conjectured_partition_log(z, spec, pairing).log_value
-    assert repr(got) == repr(want)  # bit for bit, signed zeros included
+    got = conjectured_partition_log(z, spec, pairing)
+    assert repr(got.log_value) == repr(want)  # bit for bit, signed zeros included
+    assert got.terms_used == want_used
 
 
 # ----------------------------------------------------------------- spacing
@@ -345,6 +352,12 @@ def test_spectrum_validation():
         QNMSpectrum(modes=(1j,), temperature=1.0, symmetry="mirror")
     with pytest.raises(ValueError):
         QNMSpectrum(modes=(1j,), temperature=1.0, euclidean_action=-1.0)
+    nan, inf = math.nan, math.inf
+    for bad in ({"modes": (complex(nan, -1.0),)}, {"modes": (complex(1.0, -inf),)},
+                {"temperature": inf}, {"euclidean_action": nan},
+                {"pol_coefficients": (1.0, inf)}):
+        with pytest.raises(ValueError, match="must be finite"):
+            QNMSpectrum(**{"modes": (1j,), "temperature": 1.0, **bad})
 
 
 def test_json_roundtrip_and_file_io(tmp_path):

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,38 @@ def test_unknown_evaluator_and_leftover_params():
         make_evaluator("oscillator_closed", e0=1.0, cutoff=50)
     with pytest.raises(ValueError):
         make_evaluator("qnm_conjectured")
+
+
+def test_rejected_parameters_cost_no_setup(monkeypatch):
+    def spy_find_zeros(*args, **kwargs):
+        raise AssertionError("find_zeros ran before the parameters were checked")
+    monkeypatch.setattr(scan_cli, "find_zeros", spy_find_zeros)
+    with pytest.raises(ValueError, match=r"unexpected parameters for zeta_hadamard: \['cutoff'\]"):
+        make_evaluator("zeta_hadamard", zero_count=600, cutoff=5)
+
+
+@pytest.mark.parametrize("name, library_fn, params", [
+    ("oscillator_closed", "closed_form_oscillator", {}),
+    ("oscillator_product", "pole_product_oscillator", {"n_factors": 10}),
+    ("zeta_em", "zeta_em", {"cutoff": 60}),
+    ("zeta_hadamard", "hadamard_product", {"zero_count": 3}),
+    ("qnm_conjectured", "conjectured_partition_log",
+     {"spectrum": QNMSpectrum(modes=(1.0 - 1j,), temperature=1.0)}),
+])
+def test_evaluators_look_up_library_functions_at_call_time(monkeypatch, name,
+                                                           library_fn, params):
+    # tracing and call counting replace these names in scan_cli after the
+    # evaluator is built; the replacement must still see every call
+    fn = make_evaluator(name, **params)
+    original = getattr(scan_cli, library_fn)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(scan_cli, library_fn, spy)
+    fn(0.25 + 0.5j)
+    assert calls == [0.25 + 0.5j]
 
 
 def test_grid_scan_validation():
@@ -246,6 +279,40 @@ def test_cli_malformed_qnm_file_exits_2(tmp_path, capsys, text):
         assert err.startswith(f"error: {f}: ") and err.count("\n") == 1
 
 
+_NAN_MODE = '{"modes": [[NaN, -1.0], [1.0, -2.0]], "temperature": 1.0}'
+_NAN_ACTION = '{"modes": [[1.0, -1.0]], "temperature": 1.0, "action": NaN}'
+_INF_ZERO = "14.134725141734694\n21.022039638771555\ninf\n"
+_GRID = ["--region", "-1", "1", "-1", "1", "--cols", "4", "--rows", "4"]
+
+
+@pytest.mark.parametrize("text, argv", [
+    (_NAN_MODE, ["qnm", "scan", "--spectrum", "FILE", *_GRID]),
+    (_NAN_MODE, ["qnm", "fit", "--spectrum", "FILE"]),
+    (_NAN_MODE, ["qnm", "oneloop", "--spectrum", "FILE"]),
+    (_NAN_ACTION, ["qnm", "scan", "--spectrum", "FILE", *_GRID]),
+    ('{"modes": [[1.0, -1.0]], "temperature": Infinity}', ["qnm", "oneloop", "--spectrum", "FILE"]),
+    ('{"modes": [[1.0, -1.0]], "temperature": 1.0, "pol": [1.0, -Infinity]}',
+     ["qnm", "oneloop", "--spectrum", "FILE"]),
+    (_INF_ZERO, ["zeta", "explicit", "--x", "20", "--zeros-file", "FILE"]),
+    (_INF_ZERO, ["scan", "--evaluator", "zeta_hadamard", "--zeros-file", "FILE", *_GRID]),
+    (None, ["scan", "--evaluator", "zeta_em", "--region", "0", "inf", "0", "1"]),
+    (None, ["scan", "--evaluator", "zeta_em", "--region", "0", "1", "nan", "1"]),
+], ids=["nan_mode_scan", "nan_mode_fit", "nan_mode_oneloop", "nan_action_scan",
+        "inf_temperature", "inf_pol", "inf_zero_explicit", "inf_zero_scan",
+        "inf_region", "nan_region"])
+def test_cli_non_finite_input_exits_2(tmp_path, capsys, text, argv):
+    f = tmp_path / "input.txt"
+    if text is not None:
+        f.write_text(text)
+    argv = [str(f) if a == "FILE" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_dispatch(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (str(f) if text is not None else "scan region must be finite") in err
+
+
 def test_cli_numerical_failure_exits_2(monkeypatch, capsys):
     def failing_find_zeros(*args, **kwargs):
         raise ArithmeticError("located ordinate fails verification")
@@ -263,11 +330,15 @@ def test_cli_qnm_surface(tmp_path, capsys):
     assert "-1j" in capsys.readouterr().out.replace(" ", "")
     assert cli_dispatch(["qnm", "oneloop", "--spectrum", str(f)]) == 0
     out_csv = tmp_path / "qnm.csv"
-    assert cli_dispatch(["qnm", "scan", "--spectrum", str(f),
-                         "--region", "-0.5", "0.5", "-4.5", "-0.5",
-                         "--cols", "16", "--rows", "16",
-                         "--out", str(out_csv)]) == 0
+    grid = ["--spectrum", str(f), "--region", "-0.5", "0.5", "-4.5", "-0.5",
+            "--cols", "16", "--rows", "16"]
+    assert cli_dispatch(["qnm", "scan", *grid, "--out", str(out_csv)]) == 0
     assert out_csv.read_text().splitlines()[0] == "re,im,log_abs,arg,flag"
+    # qnm scan is a spelling of scan --evaluator qnm_conjectured
+    generic = tmp_path / "generic.csv"
+    assert cli_dispatch(["scan", "--evaluator", "qnm_conjectured", *grid,
+                         "--out", str(generic)]) == 0
+    assert generic.read_bytes() == out_csv.read_bytes()
 
 
 def test_cli_scan_formats_are_deterministic(tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spectral_zeros import zeta
 from spectral_zeros.core import (
     AccuracyWarning,
     DivergenceDomainError,
@@ -159,6 +160,8 @@ def test_zero_table_validation():
         ZetaZeroTable((15.0, 14.5))     # descending
     with pytest.raises(ValueError):
         ZetaZeroTable((15.0,), source="guessed")
+    with pytest.raises(ValueError, match="not finite"):
+        ZetaZeroTable((15.0, math.inf))
 
 
 def test_find_zeros_first_ordinate_against_independent_bisection():
@@ -199,6 +202,17 @@ def test_find_zeros_window_exhaustion():
         find_zeros(3, t_max=15.0)
     assert exc.value.found == 1
     assert exc.value.t_max == 15.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["from_below", "from_above"])
+def test_find_zeros_reports_a_zero_on_a_scan_node_once(monkeypatch, sign):
+    # zeros at 15.0, which is the scan node 2 + 52 * 0.25, and at 16.1,
+    # between nodes; sign picks the side the scan runs into the node from
+    monkeypatch.setattr(zeta, "hardy_z", lambda t: sign * (15.0 - t) * (t - 16.1))
+    monkeypatch.setattr(zeta, "zeta_critical_line", lambda t: 0j)
+    table = find_zeros(2, t_max=30.0)
+    assert table.ordinates[0] == 15.0
+    assert abs(table.ordinates[1] - 16.1) < 1e-9
 
 
 def test_hardy_function_is_real_rotation():
