@@ -12,6 +12,10 @@ pole-lattice test, and two numerical primitives:
   branch.  It is a utility for callers with winding streams: the
   library's own products pair their factors and sum principal logs.
 
+The array kernels behind grid scans share three helpers: node chunks
+that bound every node x factor temporary to CHUNK_ELEMENTS, the
+pole-lattice mask, and CPython's complex division on arrays.
+
 All functions are pure; nothing here holds mutable state.
 """
 
@@ -22,11 +26,21 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 HALF_LOG_TWO_PI = 0.5 * math.log(TWO_PI)
 
 # Largest x with exp(x) finite in IEEE double.
 EXP_OVERFLOW = 709.0
+
+# Smallest x with exp(x) > 0 in IEEE double: below it result_from_log's
+# value is exactly 0, which array kernels flag as a zero.
+EXP_UNDERFLOW = -745.1332191019411
+
+# Node x factor elements one temporary of an array kernel may hold (2^15
+# float64: 256 KiB), so whole-grid evaluation keeps memory flat.
+CHUNK_ELEMENTS = 1 << 15
 
 
 class NumericalDomainError(ValueError):
@@ -92,6 +106,33 @@ def lattice_pole_index(x: complex) -> int | None:
     domain check of every closed form or product with poles on 2 pi i Z."""
     k = round(x.imag / TWO_PI)
     return k if abs(x - complex(0.0, TWO_PI * k)) < 1e-12 else None
+
+
+def lattice_pole_mask(x_re: np.ndarray, x_im: np.ndarray) -> np.ndarray:
+    """Array twin of lattice_pole_index: True where x is within 1e-12 of a
+    pole 2 pi i k (np.rint and np.hypot round as round and abs(complex))."""
+    k = np.rint(x_im / TWO_PI)
+    return np.hypot(x_re, x_im - TWO_PI * k) < 1e-12
+
+
+def complex_quotient(a_re, a_im, b_re, b_im):
+    """(Re, Im) of a / b on arrays, rounded as CPython's complex division
+    (Smith's method: with r = b.im/b.re when |b.re| >= |b.im|, else
+    b.re/b.im, the numerators take (P, Q) = (1, r) or (r, 1)), so array
+    kernels form the scalar routes' quotients bit for bit."""
+    wide = np.abs(b_re) >= np.abs(b_im)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(wide, b_im / b_re, b_re / b_im)
+    den = np.where(wide, b_re + b_im * ratio, b_re * ratio + b_im)
+    p, q = np.where(wide, 1.0, ratio), np.where(wide, ratio, 1.0)
+    return (a_re * p + a_im * q) / den, (a_im * p - a_re * q) / den
+
+
+def node_chunks(n_nodes: int, width: int) -> list[slice]:
+    """Slices covering range(n_nodes), each holding at most
+    CHUNK_ELEMENTS // width nodes (at least one)."""
+    step = max(1, CHUNK_ELEMENTS // max(1, width))
+    return [slice(i, i + step) for i in range(0, n_nodes, step)]
 
 
 @dataclass(frozen=True)

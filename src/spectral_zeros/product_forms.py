@@ -35,12 +35,15 @@ import numpy as np
 from scipy.special import polygamma
 
 from .core import (
+    EXP_UNDERFLOW,
     EvaluationResult,
     PoleError,
     PoleHitSignal,
     TWO_PI,
     ZeroHitSignal,
     lattice_pole_index,
+    lattice_pole_mask,
+    node_chunks,
     result_from_log,
 )
 from .spectra import Spectrum
@@ -274,6 +277,39 @@ def pole_product_oscillator(beta: complex, e0: float, n_factors: int = 1000,
         log_err = abs(tail)
     r = result_from_log(log_z, 0.0, n_factors)
     return dataclasses.replace(r, error_estimate=abs(r.value) * log_err)
+
+
+def pole_product_oscillator_array(beta: np.ndarray, e0: float, n_factors: int = 1000,
+                                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Array twin of pole_product_oscillator (tail-corrected) for grid scans:
+    (log Z, flags) per point of a complex array.  The factor logs are the
+    scalar's, element for element; flags are "pole" on the lattice,
+    "zero" where exp(log Z) underflows to 0, else "".
+    """
+    if not e0 > 0:
+        raise ValueError(f"oscillator quantum must be positive, got {e0}")
+    if n_factors < 1:
+        raise ValueError(f"n_factors must be >= 1, got {n_factors}")
+    x_re, x_im = beta.real * e0, beta.imag * e0
+    c_re = (x_re * x_re - x_im * x_im) / FOUR_PI_SQ
+    c_im = (x_re * x_im + x_im * x_re) / FOUR_PI_SQ
+    n_sq = np.arange(1, n_factors + 1, dtype=np.float64) ** 2
+    sum_abs = np.empty(beta.shape)
+    sum_arg = np.empty(beta.shape)
+    with np.errstate(all="ignore"):
+        for sl in node_chunks(beta.size, n_factors):
+            w_re, w_im = c_re[sl, None] / n_sq, c_im[sl, None] / n_sq
+            near = w_re <= -0.5
+            log_abs = 0.5 * np.log1p(np.where(near, 0.0, w_re * (2.0 + w_re) + w_im * w_im))
+            log_abs[near] = np.log(np.hypot(1.0 + w_re[near], w_im[near]))
+            sum_abs[sl] = log_abs.sum(axis=1)
+            sum_arg[sl] = np.arctan2(w_im, 1.0 + w_re).sum(axis=1)
+        trigamma = float(polygamma(1, n_factors + 1))
+        log_z = -(np.log(x_re + 1j * x_im) + (sum_abs + 1j * sum_arg))
+        log_z -= (c_re * trigamma) + 1j * (c_im * trigamma)
+    flags = np.where(log_z.real < EXP_UNDERFLOW, "zero", "")
+    flags[lattice_pole_mask(x_re, x_im)] = "pole"
+    return log_z, flags
 
 
 def pole_product_oscillator_naive(beta: complex, e0: float,

@@ -37,12 +37,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    EXP_UNDERFLOW,
     EvaluationResult,
     HALF_LOG_TWO_PI,
     NumericalDomainError,
     PoleError,
     TWO_PI,
+    complex_quotient,
     log_gamma,
+    node_chunks,
     result_from_log,
 )
 from .product_forms import PairingStrategy, ZeroEntry, ZeroSet, general_weierstrass_eval
@@ -210,6 +213,55 @@ def conjectured_partition_log(z: complex, spec: QNMSpectrum,
     r = general_weierstrass_eval(complex(z), spec._zeros, genus=0, pairing=pairing)
     return result_from_log(r.log_value - spec.euclidean_action,
                            r.error_estimate, r.terms_used)
+
+
+def _factors(z_re, z_im, a_re, a_im):
+    """(Re, Im) of 1 - z/a, rounded as the scalar engine rounds it."""
+    u_re, u_im = complex_quotient(z_re, z_im, a_re, a_im)
+    return 1.0 - u_re, 0.0 - u_im
+
+
+def conjectured_partition_log_array(z: np.ndarray, spec: QNMSpectrum,
+                                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Array twin of conjectured_partition_log (default pairing) for grid
+    scans: (log Z, flags) per point of a complex array.
+
+    The factor groups are the scalar engine's: each mode with its mirror
+    when the spectrum is reflection-symmetric, in ascending |mode|, and
+    each factor 1 - z/z* is formed with the scalar's rounding
+    (core.complex_quotient), so a group that vanishes there vanishes
+    here.  Flags are "zero" on a mode, where a group vanishes or where
+    exp(log Z) underflows to 0, else "".
+    """
+    zeros = spec._zeros
+    modes = np.array([e.location for e in zeros.entries], dtype=complex)
+    partner = zeros._partner if spec.symmetry == "reflection" else range(modes.size)
+    first, second, consumed = [], [], set()
+    for i in zeros._order:
+        if i not in consumed:
+            consumed.update((i, partner[i]))
+            first.append(i)
+            second.append(partner[i])
+    first, second = np.array(first, dtype=int), np.array(second, dtype=int)
+    paired = second != first
+    a_re, a_im = modes.real[first, None], modes.imag[first, None]
+    b_re, b_im = modes.real[second[paired], None], modes.imag[second[paired], None]
+    log_z = np.empty(z.shape, dtype=complex)
+    hit = np.empty(z.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for sl in node_chunks(z.size, modes.size):
+            z_re, z_im = z.real[None, sl], z.imag[None, sl]
+            f_re, f_im = _factors(z_re, z_im, a_re, a_im)
+            g_re, g_im = _factors(z_re, z_im, b_re, b_im)
+            h_re, h_im = f_re[paired], f_im[paired]
+            f_re[paired], f_im[paired] = h_re * g_re - h_im * g_im, h_re * g_im + h_im * g_re
+            # a sum over axis 0 adds one group after another, as the scalar does
+            log_z[sl] = (np.log(np.hypot(f_re, f_im)).sum(axis=0)
+                         + 1j * np.arctan2(f_im, f_re).sum(axis=0))
+            hit[sl] = (((f_re == 0) & (f_im == 0)).any(axis=0)
+                       | (modes[:, None] == z[None, sl]).any(axis=0))
+    log_z -= spec.euclidean_action
+    return log_z, np.where(hit | (log_z.real < EXP_UNDERFLOW), "zero", "")
 
 
 class SpacingFit(NamedTuple):

@@ -4,9 +4,11 @@ A grid scan drives one of the named evaluators over a rectangle of the
 complex plane and records log|Z| and arg Z per node; pole and zero hits
 become flags on the node instead of propagating as errors.  Scans feed
 three writers (CSV table, JSON document, PGM heatmap) meant for offline
-plotting.  Nodes are evaluated one after another on the calling thread,
-in node-index order, so identical invocations produce byte-identical
-files.
+plotting.  The whole grid is evaluated as one array: each evaluator is
+the array twin of a library function, which works through the nodes in
+chunks of at most core.CHUNK_ELEMENTS node x factor elements, so memory
+stays flat whatever the resolution (zeta_em_array calls zeta_em once per
+node).  Identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,32 +29,31 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .core import (
-    EvaluationResult,
-    PoleError,
-    PoleHitSignal,
-    TWO_PI,
-    ZeroFactorSignal,
-    ZeroHitSignal,
-)
-from .product_forms import pole_product_oscillator
+from .core import TWO_PI
+from .product_forms import pole_product_oscillator, pole_product_oscillator_array
 from .qnm import (
     QNMSpectrum,
     asymptotic_spacing_fit,
-    conjectured_partition_log,
+    conjectured_partition_log_array,
     load_qnm_file,
     one_loop_log_partition,
 )
-from .spectra import closed_form_oscillator, oscillator, partition_direct
+from .spectra import (
+    closed_form_oscillator,
+    closed_form_oscillator_array,
+    oscillator,
+    partition_direct,
+)
 from .zeta import (
-    _adaptive_cutoff,
     euler_product,
     explicit_formula_psi,
     find_zeros,
     hadamard_product,
+    hadamard_product_array,
     ingest_zeros_file,
     psi_direct,
     zeta_em,
+    zeta_em_array,
 )
 
 # exp() is representable between roughly exp(-745) and exp(709); the
@@ -82,7 +83,8 @@ class GridScan:
     node coordinates come from the same linspace axes every consumer
     uses, so CSV output and the locators agree bit for bit.  ``log_abs``
     and ``arg`` are float arrays and ``flags`` a string array ("",
-    "zero" or "pole"), each of length cols*rows.
+    "zero" or "pole"), each of length cols*rows, filled by one
+    whole-grid evaluation (see grid_scan).
     """
 
     region: Region
@@ -102,39 +104,32 @@ class GridScan:
         cols, rows = self.resolution
         return np.linspace(re_min, re_max, cols), np.linspace(im_min, im_max, rows)
 
-    def node_location(self, index: int) -> complex:
-        cols, _ = self.resolution
-        re_axis, im_axis = self.axes()
-        row, col = divmod(index, cols)
-        return complex(re_axis[col], im_axis[row])
-
     def flag_count(self, flag: str) -> int:
         return int(np.count_nonzero(self.flags == flag))
 
 
 # ----------------------------------------------------------------- evaluators
 
-# Each builder binds its keyword parameters, with their defaults, to a
-# z -> value callable.  The closures look up the library functions as
+# Each builder binds its keyword parameters, with their defaults, to an
+# array evaluator: a complex array of nodes -> (log Z, flags), flags ""
+# / "zero" / "pole" per node.  The closures look up the array kernels as
 # module globals at call time, so a name replaced in this module (to
 # trace or count calls) is seen by every later scan.
 
 def _oscillator_closed(e0=1.0):
     e0 = float(e0)
-    return lambda z: closed_form_oscillator(z, e0)
+    return lambda z: closed_form_oscillator_array(z, e0)
 
 
 def _oscillator_product(e0=1.0, n_factors=1000):
     e0, n_factors = float(e0), int(n_factors)
-    return lambda z: pole_product_oscillator(z, e0, n_factors=n_factors)
+    return lambda z: pole_product_oscillator_array(z, e0, n_factors)
 
 
 def _zeta_em(cutoff=None):
-    if cutoff is None:
-        # adaptive: keeps the truncation window valid over any region
-        return lambda z: zeta_em(z, cutoff=_adaptive_cutoff(z.imag))
-    cutoff = int(cutoff)
-    return lambda z: zeta_em(z, cutoff=cutoff)
+    # None is adaptive: it keeps the truncation window valid over any region
+    cutoff = None if cutoff is None else int(cutoff)
+    return lambda z: zeta_em_array(z, cutoff)
 
 
 def _zeta_hadamard(zeros=None, zero_count=None):
@@ -143,7 +138,7 @@ def _zeta_hadamard(zeros=None, zero_count=None):
     if zeros is None:
         zeros = find_zeros(int(zero_count) if zero_count is not None else 100)
     k = int(zero_count) if zero_count is not None else len(zeros)
-    return lambda z: hadamard_product(z, zeros, k)
+    return lambda z: hadamard_product_array(z, zeros, k)
 
 
 def _qnm_conjectured(spectrum=None):
@@ -151,7 +146,7 @@ def _qnm_conjectured(spectrum=None):
         raise ValueError("qnm_conjectured needs a spectrum (QNMSpectrum or file path)")
     if not isinstance(spectrum, QNMSpectrum):
         spectrum = load_qnm_file(spectrum)
-    return lambda z: conjectured_partition_log(z, spectrum)
+    return lambda z: conjectured_partition_log_array(z, spectrum)
 
 
 _EVALUATORS = {
@@ -163,13 +158,13 @@ _EVALUATORS = {
 }
 
 
-def make_evaluator(name: str, **params) -> Callable[[complex], object]:
-    """Bind a named evaluator and its parameters to a z -> value callable.
+def make_evaluator(name: str, **params) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Bind a named evaluator and its parameters to an array evaluator.
 
-    The callable returns whatever the underlying routine returns (a bare
-    complex or an EvaluationResult); grid_scan normalizes either.
-    Unknown names and leftover parameters raise ValueError before any
-    setup work (zero finding, file loading) is done.
+    The evaluator takes a complex array of nodes and returns the complex
+    log Z of each node and its flag ("", "zero" or "pole"); grid_scan
+    normalizes both.  Unknown names and leftover parameters raise
+    ValueError before any setup work (zero finding, file loading) is done.
     """
     builder = _EVALUATORS.get(name)
     if builder is None:
@@ -180,38 +175,16 @@ def make_evaluator(name: str, **params) -> Callable[[complex], object]:
     return builder(**params)
 
 
-def _evaluate_node(fn: Callable[[complex], object], z: complex) -> tuple[float, float, str]:
-    """(log_abs, arg, flag) of one node; signals and exact zeros become flags."""
-    try:
-        r = fn(z)
-    except (PoleError, PoleHitSignal):
-        return LOG_CLAMP, 0.0, "pole"
-    except (ZeroHitSignal, ZeroFactorSignal):
-        return -LOG_CLAMP, 0.0, "zero"
-    if isinstance(r, EvaluationResult):
-        if r.value == 0:
-            return -LOG_CLAMP, 0.0, "zero"
-        log_v = r.log_value
-    else:
-        v = complex(r)
-        if v == 0:
-            return -LOG_CLAMP, 0.0, "zero"
-        log_v = cmath.log(v)
-    la, ph = float(log_v.real), float(log_v.imag)
-    if not (math.isfinite(la) and math.isfinite(ph)):
-        return LOG_CLAMP, 0.0, "pole"
-    # winding streams can leave arg outside (-pi, pi]; report principal
-    arg = math.remainder(ph, TWO_PI)
-    return min(max(la, -LOG_CLAMP), LOG_CLAMP), arg, ""
-
-
 def grid_scan(evaluator: str, region: Region, resolution: Resolution,
               params: dict | None = None) -> GridScan:
     """Sample log|Z| and arg Z of a named evaluator on a rectangle.
 
-    Nodes that hit a pole or zero (signalled or value exactly 0) are
-    flagged, with log_abs clamped to +-745.  Nodes are evaluated in
-    index order on the calling thread, so scans are deterministic.
+    The whole grid goes to the evaluator as one array (its kernel works
+    through it in chunks of bounded memory), and one normalization
+    follows: flagged nodes get log_abs +-745 and arg 0, an unflagged node
+    with a non-finite log is flagged as a pole, log_abs is clamped to
+    +-745 and arg reduced to its principal value.  Identical calls give
+    identical arrays.
     """
     region = tuple(float(x) for x in region)
     resolution = tuple(int(n) for n in resolution)
@@ -219,12 +192,22 @@ def grid_scan(evaluator: str, region: Region, resolution: Resolution,
     fn = make_evaluator(evaluator, **(params or {}))
     re_min, re_max, im_min, im_max = region
     cols, rows = resolution
-    re_axis = np.linspace(re_min, re_max, cols).tolist()
-    im_axis = np.linspace(im_min, im_max, rows).tolist()
-    log_abs, arg, flags = zip(*(_evaluate_node(fn, complex(x, y))
-                                for y in im_axis for x in re_axis))
-    return GridScan(region=region, resolution=resolution, log_abs=np.array(log_abs),
-                    arg=np.array(arg), flags=np.array(flags, dtype="U4"))
+    z = np.empty((rows, cols), dtype=complex)
+    z.real, z.imag = np.linspace(re_min, re_max, cols), np.linspace(im_min, im_max, rows)[:, None]
+    log_z, flags = fn(z.ravel())
+    # in place from here on: a whole-grid temporary is as large as the scan
+    del z
+    flags[(flags == "") & ~np.isfinite(log_z)] = "pole"
+    log_abs = np.clip(log_z.real, -LOG_CLAMP, LOG_CLAMP)
+    arg = np.fmod(log_z.imag, TWO_PI)       # exact, as is the one shift by 2 pi below
+    del log_z
+    arg[arg > math.pi] -= TWO_PI
+    arg[arg < -math.pi] += TWO_PI
+    zero, pole = flags == "zero", flags == "pole"
+    log_abs[zero], log_abs[pole] = -LOG_CLAMP, LOG_CLAMP
+    arg[zero | pole] = 0.0
+    return GridScan(region=region, resolution=resolution, log_abs=log_abs, arg=arg,
+                    flags=flags)
 
 
 # ------------------------------------------------------------------- locators
@@ -245,7 +228,9 @@ def _located(scan: GridScan, kind: str) -> list[complex]:
         cols, rows = scan.resolution
         vals = scan.log_abs.reshape(rows, cols)
         hits = np.flatnonzero(_strict_local_maxima(-vals if kind == "zero" else vals))
-    return [scan.node_location(int(i)) for i in hits]
+    re_axis, im_axis = scan.axes()
+    rows, cols = np.divmod(hits, scan.resolution[0])
+    return [complex(x, y) for x, y in zip(re_axis[cols].tolist(), im_axis[rows].tolist())]
 
 
 def _strict_local_maxima(vals: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -28,8 +29,13 @@ from .core import (
     EvaluationResult,
     PoleError,
     lattice_pole_index,
+    lattice_pole_mask,
+    node_chunks,
     result_from_value,
 )
+
+# log of the smallest normal double: closed_form_oscillator returns 0 below it
+_LOG_TINY = math.log(sys.float_info.min)
 
 _DEFAULT_TERMS = {"oscillator": 1000, "affine": 1000, "primon": 100_000}
 
@@ -160,6 +166,12 @@ def partition_direct(spec: Spectrum, beta: complex, n_terms: int | None = None,
 def closed_form_oscillator(beta: complex, e0: float) -> complex:
     """exp(-beta E0/2) / (1 - exp(-beta E0)), i.e. 1/(2 sinh(beta E0/2)).
 
+    Evaluated without overflow: Z is odd in x = beta E0, so it is taken
+    at y = +-x with Re y >= 0, where
+    1 - e^{-y} = -expm1(-Re y) + 2 e^{-Re y} sin^2(Im y/2) + i e^{-Re y} sin(Im y)
+    adds two non-negative terms.  A value below the normal range of
+    doubles (|Z| < 2.2e-308, from |Re x| > ~1417) underflows to 0.
+
     Raises PoleError carrying the nearest integer k when beta*E0 is
     within 1e-12 of a pole 2 pi i k (k = 0 is the essential 1/(beta E0)
     divergence).
@@ -171,7 +183,42 @@ def closed_form_oscillator(beta: complex, e0: float) -> complex:
     if k is not None:
         raise PoleError(f"closed form has a pole at beta*E0 = 2*pi*i*{k}",
                         location=complex(beta), nearest=k)
-    return 1.0 / (2.0 * cmath.sinh(0.5 * x))
+    sign = 1.0 if x.real >= 0 else -1.0
+    y = sign * x
+    decay = math.exp(-y.real)
+    s = math.sin(0.5 * y.imag)
+    den = complex(2.0 * decay * s * s - math.expm1(-y.real), decay * math.sin(y.imag))
+    value = sign * cmath.exp(-0.5 * y) / den
+    return value if abs(value) >= sys.float_info.min else 0j
+
+
+def closed_form_oscillator_array(beta: np.ndarray, e0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Array twin of closed_form_oscillator for grid scans: (log Z, flags)
+    per point of a complex array.  Flags are "pole" on the lattice, "zero"
+    where the scalar underflows to 0, else ""; the log is taken from the
+    same overflow-free form, log Z = -y/2 - log(1 - e^{-y}) (+ i pi when
+    y = -x).
+    """
+    if not e0 > 0:
+        raise ValueError(f"oscillator quantum must be positive, got {e0}")
+    log_z = np.empty(beta.shape, dtype=complex)
+    flags = np.empty(beta.shape, dtype="U4")
+    with np.errstate(all="ignore"):
+        for sl in node_chunks(beta.size, 1):
+            x_re, x_im = beta.real[sl] * e0, beta.imag[sl] * e0
+            flip = x_re < 0
+            a = np.where(flip, -x_re, x_re)
+            b = np.where(flip, -x_im, x_im)
+            decay = np.exp(-a)
+            s = np.sin(0.5 * b)
+            den_re = 2.0 * decay * s * s - np.expm1(-a)
+            den_im = decay * np.sin(b)
+            log_z.real[sl] = log_abs = -0.5 * a - np.log(np.hypot(den_re, den_im))
+            log_z.imag[sl] = (np.arctan2(-s, np.cos(0.5 * b)) - np.arctan2(den_im, den_re)
+                              + np.where(flip, math.pi, 0.0))
+            flags[sl] = np.where(log_abs < _LOG_TINY, "zero", "")
+            flags[sl][lattice_pole_mask(x_re, x_im)] = "pole"
+    return log_z, flags
 
 
 def closed_form_affine(beta: complex, offset: float, gap: float) -> complex:

@@ -31,6 +31,7 @@ import numpy as np
 from scipy.special import polygamma
 
 from .core import (
+    EXP_UNDERFLOW,
     AccuracyWarning,
     DivergenceDomainError,
     EvaluationResult,
@@ -39,6 +40,7 @@ from .core import (
     TWO_PI,
     ZeroHitSignal,
     log_gamma,
+    node_chunks,
     result_from_log,
     result_from_value,
 )
@@ -154,6 +156,31 @@ def zeta_em(s: complex, cutoff: int = 100, correction_order: int = 6) -> Evaluat
     return result_from_value(total, omitted, cutoff + correction_order)
 
 
+def zeta_em_array(s: np.ndarray, cutoff: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """zeta_em (correction order 6) for grid scans: (log zeta, flags) per
+    point of a complex array, from one scalar call per point;
+    ``cutoff=None`` takes the adaptive cutoff of each point's Im s.
+    Flags are "pole" at the pole 1, "zero" where the sum is exactly 0,
+    else "".
+
+    There is no array kernel: left of the critical strip the value is
+    what survives the cancellation of terms as large as
+    cutoff^(1 - Re s), which only the scalar's own operations reproduce.
+    """
+    log_z = np.zeros(s.shape, dtype=complex)
+    flags = np.full(s.shape, "", dtype="U4")
+    for i, x in enumerate(s.tolist()):
+        try:
+            r = zeta_em(x, _adaptive_cutoff(x.imag) if cutoff is None else cutoff)
+        except PoleError:
+            flags[i] = "pole"
+            continue
+        log_z[i] = r.log_value
+        if r.value == 0:
+            flags[i] = "zero"
+    return log_z, flags
+
+
 def _prime_sieve(limit: int) -> np.ndarray:
     if limit < 2:
         return np.empty(0, dtype=np.int64)
@@ -235,6 +262,54 @@ def hadamard_product(beta: complex, zeros: ZetaZeroTable, zero_count: int) -> Ev
     return EvaluationResult(value=r.value, log_value=r.log_value,
                             error_estimate=abs(r.value) * log_err,
                             terms_used=r.terms_used)
+
+
+def hadamard_product_array(beta: np.ndarray, zeros: ZetaZeroTable,
+                           zero_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array twin of hadamard_product for grid scans: (log Z, flags) per
+    point of a complex array.
+
+    The factors are the scalar's, element for element: "pole" within
+    1e-12 of 1, "zero" within 1e-12 of an ordinate or where exp(log Z)
+    underflows to 0, which includes a vanishing factor (log -inf, as at
+    a trivial zero -2n, n <= 200), else "".  Each factor enters with its
+    principal log, and the sums are taken in the scalar's order.
+    """
+    if zero_count < 0 or zero_count > len(zeros.ordinates):
+        raise ValueError(f"zero_count={zero_count} exceeds table size {len(zeros.ordinates)}")
+    g = np.asarray(zeros.ordinates[:zero_count], dtype=np.float64)
+    # numpy divides a complex by a real array as a product with 1/d
+    zero_scale = 1.0 / (0.25 + g * g)
+    gamma_scale = 1.0 / (2.0 * np.arange(1, _GAMMA_FACTOR_TERMS + 1, dtype=np.float64))
+    b_re, b_im = beta.real, beta.imag
+    pole = np.hypot(b_re - 1.0, b_im - 0.0) < 1e-12
+    # (beta^2 - beta) and the prefactor terms with CPython's complex arithmetic
+    q_re = (b_re * b_re - b_im * b_im) - b_re
+    q_im = (b_re * b_im + b_im * b_re) - b_im
+    log_re = (EULER_GAMMA + LOG_PI) * b_re / 2.0 - LOG_TWO
+    log_im = (EULER_GAMMA + LOG_PI) * b_im / 2.0
+    on_ordinate = np.zeros(beta.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        log_pole = np.log((b_re - 1.0) + 1j * b_im)
+        log_re -= log_pole.real
+        log_im -= log_pole.imag
+        for sl in node_chunks(beta.size, zero_count + _GAMMA_FACTOR_TERMS):
+            br, bi = b_re[sl, None], b_im[sl, None]
+            on_ordinate[sl] = (np.hypot(br - 0.5, np.abs(bi) - g) < 1e-12).any(axis=1)
+            zf_re = 1.0 + q_re[sl, None] * zero_scale
+            zf_im = 0.0 + q_im[sl, None] * zero_scale
+            w_re, w_im = br * gamma_scale, bi * gamma_scale
+            gf_re, gf_im = 1.0 + w_re, 0.0 + w_im
+            log_re[sl] += np.log(np.hypot(zf_re, zf_im)).sum(axis=1)
+            log_im[sl] += np.arctan2(zf_im, zf_re).sum(axis=1)
+            log_re[sl] += (np.log(np.hypot(gf_re, gf_im)) - w_re).sum(axis=1)
+            log_im[sl] += (np.arctan2(gf_im, gf_re) - w_im).sum(axis=1)
+        t_re = (b_re * b_re - b_im * b_im) / 8.0 * _TRIGAMMA_TAIL
+        t_im = (b_re * b_im + b_im * b_re) / 8.0 * _TRIGAMMA_TAIL
+    log_z = (log_re - t_re) + 1j * (log_im - t_im)
+    flags = np.where(on_ordinate | (log_z.real < EXP_UNDERFLOW), "zero", "")
+    flags[pole] = "pole"
+    return log_z, flags
 
 
 def _adaptive_cutoff(t: float) -> int:

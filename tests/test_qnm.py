@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from spectral_zeros.qnm import (
     QNMSpectrum,
     asymptotic_spacing_fit,
     conjectured_partition_log,
+    conjectured_partition_log_array,
     gamma_regularized_tower,
     load_qnm_file,
     one_loop_log_partition,
@@ -293,6 +296,40 @@ def test_conjectured_matches_per_call_reference(spec, data):
     got = conjectured_partition_log(z, spec, pairing)
     assert repr(got.log_value) == repr(want)  # bit for bit, signed zeros included
     assert got.terms_used == want_used
+
+
+
+@given(reflection_spectra(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_conjectured_array_matches_the_scalar(spec, reflection, data):
+    # reflection pairs, or the same modes unpaired; points on modes and off
+    if not reflection:
+        spec = dataclasses.replace(spec, symmetry="none")
+    points = data.draw(st.lists(st.one_of(
+        st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),
+        st.sampled_from(spec.modes)), min_size=1, max_size=12))
+    log_z, flags = conjectured_partition_log_array(np.array(points, dtype=complex), spec)
+    for z, lz, flag in zip(points, log_z.tolist(), flags.tolist()):
+        try:
+            want = conjectured_partition_log(z, spec).log_value
+        except ZeroHitSignal:
+            assert flag == "zero", z
+            continue
+        assert flag == "", z
+        tol = 1e-13 * max(1.0, abs(want.real))
+        assert abs(lz.real - want.real) <= tol, (z, lz, want)
+        assert abs(math.remainder(lz.imag - want.imag, TWO_PI)) <= tol, (z, lz, want)
+
+
+def test_conjectured_array_flags_a_vanishing_pair():
+    # z = i is no mode, but the pair's factor (1 - z/a)(1 - z/a') = 1e-340
+    # underflows to 0, which the scalar reports as a zero hit
+    spec = QNMSpectrum(modes=(1e-170 + 1j, -1e-170 + 1j), temperature=1.0,
+                       symmetry="reflection")
+    with pytest.raises(ZeroHitSignal):
+        conjectured_partition_log(1j, spec)
+    _, flags = conjectured_partition_log_array(np.array([1j, 2j]), spec)
+    assert flags.tolist() == ["zero", ""]
 
 
 # ----------------------------------------------------------------- spacing

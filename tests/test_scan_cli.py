@@ -1,17 +1,27 @@
 import cmath
 import json
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from spectral_zeros import scan_cli
-from spectral_zeros.core import TWO_PI
-from spectral_zeros.qnm import QNMSpectrum, qnm_to_json
+from spectral_zeros.core import (
+    TWO_PI,
+    EvaluationResult,
+    PoleError,
+    PoleHitSignal,
+    ZeroFactorSignal,
+    ZeroHitSignal,
+)
+from spectral_zeros.product_forms import pole_product_oscillator
+from spectral_zeros.qnm import QNMSpectrum, conjectured_partition_log, qnm_to_json
 from spectral_zeros.scan_cli import (
     GridScan,
     cli_dispatch,
@@ -24,7 +34,7 @@ from spectral_zeros.scan_cli import (
     write_pgm,
 )
 from spectral_zeros.spectra import closed_form_oscillator
-from spectral_zeros.zeta import find_zeros, hadamard_product
+from spectral_zeros.zeta import _adaptive_cutoff, find_zeros, hadamard_product, zeta_em
 
 
 def test_nodes_match_direct_evaluation():
@@ -78,6 +88,14 @@ def test_qnm_scan_flags_all_and_only_the_modes():
         sorted(spec.modes, key=lambda z: (z.real, z.imag))
 
 
+def _node(scan, index):
+    """Location of node index: row index // cols of the imaginary axis,
+    column index % cols of the real axis."""
+    re_axis, im_axis = scan.axes()
+    row, col = divmod(index, scan.resolution[0])
+    return complex(re_axis[col], im_axis[row])
+
+
 def test_zero_locus_minimum_within_one_cell():
     # off-grid mode: no flags, minimum of Re log Z still lands in its cell
     mode = 0.3012 - 0.7034j
@@ -85,7 +103,7 @@ def test_zero_locus_minimum_within_one_cell():
     scan = grid_scan("qnm_conjectured", (0.27, 0.33, -0.73, -0.67), (7, 7),
                      params={"spectrum": spec})
     assert scan.flag_count("zero") == 0
-    z = scan.node_location(int(np.argmin(scan.log_abs)))
+    z = _node(scan, int(np.argmin(scan.log_abs)))
     assert abs(z.real - mode.real) <= 0.0101
     assert abs(z.imag - mode.imag) <= 0.0101
 
@@ -99,10 +117,65 @@ def test_value_zero_is_flagged_as_zero():
     assert locate_zeros(scan) == [complex(-2.0, 0.0)]
 
 
+LOG_CLAMP = 745.0
+
+
+def _contract_node(fn, z):
+    """Reference scan contract, applied to one call of a scalar library
+    function: pole and zero signals and an exact zero value become flags,
+    a non-finite log is a pole, log|Z| is clamped to +-745 and arg is the
+    principal value.  Every array evaluator must keep it at every node."""
+    try:
+        r = fn(z)
+    except (PoleError, PoleHitSignal):
+        return LOG_CLAMP, 0.0, "pole"
+    except (ZeroHitSignal, ZeroFactorSignal):
+        return -LOG_CLAMP, 0.0, "zero"
+    if isinstance(r, EvaluationResult):
+        if r.value == 0:
+            return -LOG_CLAMP, 0.0, "zero"
+        log_v = r.log_value
+    else:
+        v = complex(r)
+        if v == 0:
+            return -LOG_CLAMP, 0.0, "zero"
+        log_v = cmath.log(v)
+    la, ph = float(log_v.real), float(log_v.imag)
+    if not (math.isfinite(la) and math.isfinite(ph)):
+        return LOG_CLAMP, 0.0, "pole"
+    return min(max(la, -LOG_CLAMP), LOG_CLAMP), math.remainder(ph, TWO_PI), ""
+
+
+def _assert_node_matches(got, want, z):
+    """Same flag; log|Z| and arg (mod 2 pi) within 1e-13 max(1, |log|Z||);
+    arg principal."""
+    (la, ph, flag), (want_la, want_ph, want_flag) = got, want
+    assert flag == want_flag, (z, got, want)
+    assert -math.pi <= ph <= math.pi, (z, got)
+    tol = 1e-13 * max(1.0, abs(want_la))
+    assert abs(la - want_la) <= tol, (z, got, want)
+    assert abs(math.remainder(ph - want_ph, TWO_PI)) <= tol, (z, got, want)
+
+
+def _assert_scan_matches_scalar(evaluator, region, resolution, params, scalar):
+    scan = grid_scan(evaluator, region, resolution, params)
+    re_axis, im_axis = scan.axes()
+    cols, _ = resolution
+    for idx in range(scan.log_abs.size):
+        row, col = divmod(idx, cols)
+        z = complex(re_axis[col], im_axis[row])
+        got = (float(scan.log_abs[idx]), float(scan.arg[idx]), str(scan.flags[idx]))
+        _assert_node_matches(got, _contract_node(scalar, z), z)
+    return scan
+
+
 def test_hadamard_evaluator_matches_library_call():
     zeros = find_zeros(10)
     fn = make_evaluator("zeta_hadamard", zeros=zeros, zero_count=10)
-    assert fn(2.0 + 0.5j).value == hadamard_product(2.0 + 0.5j, zeros, 10).value
+    log_z, flags = fn(np.array([2.0 + 0.5j]))
+    node = (log_z[0].real, math.remainder(log_z[0].imag, TWO_PI), flags[0])
+    _assert_node_matches(node, _contract_node(lambda z: hadamard_product(z, zeros, 10),
+                                              2.0 + 0.5j), 2.0 + 0.5j)
 
 
 def test_unknown_evaluator_and_leftover_params():
@@ -132,18 +205,24 @@ def test_rejected_parameters_cost_no_setup(monkeypatch):
 ])
 def test_evaluators_look_up_library_functions_at_call_time(monkeypatch, name,
                                                            library_fn, params):
-    # tracing and call counting replace these names in scan_cli after the
-    # evaluator is built; the replacement must still see every call
+    # each evaluator calls the array twin of a library function, named with
+    # an _array suffix; tracing and call counting replace that name in
+    # scan_cli after the evaluator is built, and must still see every call
     fn = make_evaluator(name, **params)
-    original = getattr(scan_cli, library_fn)
+    kernel = getattr(scan_cli, library_fn + "_array")
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-    monkeypatch.setattr(scan_cli, library_fn, spy)
-    fn(0.25 + 0.5j)
-    assert calls == [0.25 + 0.5j]
+    def spy(z, *args):
+        calls.append((z.tolist(), args))
+        return kernel(z, *args)
+    monkeypatch.setattr(scan_cli, library_fn + "_array", spy)
+    log_z, flags = fn(np.array([0.25 + 0.5j]))
+    assert [z for z, _ in calls] == [[0.25 + 0.5j]]
+    # the one-node value is the library function's, called with the same arguments
+    scalar = getattr(sys.modules[kernel.__module__], library_fn)
+    node = (log_z[0].real, math.remainder(log_z[0].imag, TWO_PI), flags[0])
+    _assert_node_matches(node, _contract_node(lambda z: scalar(z, *calls[0][1]), 0.25 + 0.5j),
+                         0.25 + 0.5j)
 
 
 def test_grid_scan_validation():
@@ -162,6 +241,148 @@ def test_scan_determinism():
     b = grid_scan("oscillator_product", region, res)
     for field in ("log_abs", "arg", "flags"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+# ------------------------------------------------ array route vs scalar route
+
+@st.composite
+def _dyadic_grid(draw, bound):
+    """A small region whose nodes are exact binary fractions within +-bound:
+    step 2^-k, offset a whole number of steps, 2..6 nodes per axis."""
+    axes = []
+    for _ in range(2):
+        n = draw(st.integers(2, 6))
+        step = 2.0 ** -draw(st.integers(-2, 6))
+        room = int(bound / step) - (n - 1)
+        lo = draw(st.integers(-int(bound / step), max(-int(bound / step), room))) * step
+        axes.append((lo, lo + (n - 1) * step, n))
+    (re_min, re_max, cols), (im_min, im_max, rows) = axes
+    return (re_min, re_max, im_min, im_max), (cols, rows)
+
+
+_GATE = settings(max_examples=40, deadline=None)
+
+
+@_GATE
+@given(grid=_dyadic_grid(8.0), e0=st.sampled_from([1.0, TWO_PI]))
+@example(grid=((-0.5, 0.5, -2.0, 2.0), (5, 9)), e0=TWO_PI)           # lattice i k, k = -2..2
+@example(grid=((1400.0, 1440.0, -1.0, 1.0), (6, 3)), e0=1.0)         # value underflows to 0
+@example(grid=((-1440.0, -1400.0, 1e6, 1e6 + 8.0), (6, 3)), e0=1.0)
+def test_closed_form_scan_matches_scalar(grid, e0):
+    _assert_scan_matches_scalar("oscillator_closed", *grid, {"e0": e0},
+                                lambda z: closed_form_oscillator(z, e0))
+
+
+@_GATE
+@given(grid=_dyadic_grid(8.0), n_factors=st.sampled_from([8, 1000]))
+@example(grid=((-0.5, 0.5, 0.0, 3.0), (5, 7)), n_factors=1000)       # lattice i k, k = 0..3
+@example(grid=((224.0, 240.0, -1.0, 1.0), (5, 3)), n_factors=1000)   # log|Z| from -704 to -754
+@example(grid=((0.0, 1.0, 1000.0, 1008.0), (3, 3)), n_factors=8)     # log|Z| > 745
+def test_pole_product_scan_matches_scalar(grid, n_factors):
+    e0 = TWO_PI if n_factors == 1000 else 1.0
+    _assert_scan_matches_scalar(
+        "oscillator_product", *grid, {"e0": e0, "n_factors": n_factors},
+        lambda z: pole_product_oscillator(z, e0, n_factors=n_factors))
+
+
+@_GATE
+@given(grid=_dyadic_grid(32.0), cutoff=st.sampled_from([None, 60]))
+@example(grid=((-8.0, -4.0, -16.0, 16.0), (5, 5)), cutoff=None)      # Re s < -5
+@example(grid=((-8.0, -4.0, -16.0, 16.0), (5, 5)), cutoff=60)
+@example(grid=((0.0, 2.0, -1.0, 1.0), (5, 3)), cutoff=None)          # the pole at 1
+@example(grid=((512.0, 2048.0, -4.0, 4.0), (4, 3)), cutoff=None)     # n^-s underflows
+@example(grid=((-64.0, -32.0, -8.0, 8.0), (3, 3)), cutoff=60)        # log|zeta| ~ 240
+def test_zeta_em_scan_matches_scalar(grid, cutoff):
+    # zeta_em neither underflows nor overflows before its cutoff power
+    # does, which raises OverflowError (test_zeta_em_scan_overflow_raises)
+    params = {} if cutoff is None else {"cutoff": cutoff}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _assert_scan_matches_scalar(
+            "zeta_em", *grid, params,
+            lambda z: zeta_em(z, cutoff=cutoff if cutoff else _adaptive_cutoff(z.imag)))
+
+
+def test_zeta_em_scan_overflow_raises():
+    region = (-256.0, -192.0, -1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(OverflowError):
+            zeta_em(complex(-256.0, -1.0))
+        with pytest.raises(OverflowError):
+            grid_scan("zeta_em", region, (3, 3), {"cutoff": 100})
+
+
+_ZEROS = find_zeros(100)
+_GAMMA_2 = _ZEROS.ordinates[1]
+
+
+@_GATE
+@given(grid=_dyadic_grid(32.0), zero_count=st.sampled_from([0, 7, 100]))
+@example(grid=((-2.5, 1.5, -_GAMMA_2, _GAMMA_2), (65, 3)), zero_count=100)  # 1, -2, 1/2 +- i g_2
+@example(grid=((-1024.0, -512.0, 64.0, 128.0), (3, 3)), zero_count=100)    # log|Z| > 745
+@example(grid=((512.0, 1024.0, -64.0, 64.0), (3, 3)), zero_count=100)      # log|Z| < -745
+def test_hadamard_scan_matches_scalar(grid, zero_count):
+    scan = _assert_scan_matches_scalar(
+        "zeta_hadamard", *grid, {"zeros": _ZEROS, "zero_count": zero_count},
+        lambda z: hadamard_product(z, _ZEROS, zero_count))
+    if grid[0][3] == _GAMMA_2:
+        assert scan.flag_count("pole") == 1 and scan.flag_count("zero") == 3
+
+
+@st.composite
+def _qnm_case(draw):
+    """A grid and a spectrum with modes on its nodes and off them, closed
+    under z -> -conj(z) (reflection pairs) or not (unpaired)."""
+    region, resolution = draw(_dyadic_grid(4.0))
+    re_axis = np.linspace(region[0], region[1], resolution[0]).tolist()
+    im_axis = np.linspace(region[2], region[3], resolution[1]).tolist()
+    nodes = [complex(x, y) for y in im_axis for x in re_axis]
+    fine = st.integers(-4 * 4096, 4 * 4096).map(lambda i: i / 4096)
+    modes = draw(st.lists(st.sampled_from(nodes), max_size=3))
+    modes += [complex(x, y) for x, y in draw(st.lists(st.tuples(fine, fine), min_size=1,
+                                                      max_size=6))]
+    modes = [m for m in modes if m != 0] or [1.0 - 1j]
+    reflection = draw(st.booleans())
+    if reflection:
+        modes += [-m.conjugate() for m in modes]
+    modes = tuple(dict.fromkeys(modes))
+    spec = QNMSpectrum(modes=modes, temperature=1.0,
+                       euclidean_action=draw(st.sampled_from([0.0, 1.5])),
+                       symmetry="reflection" if reflection else "none")
+    return spec, (region, resolution)
+
+
+_PAIRED = QNMSpectrum(modes=(0.5 - 1j, -0.5 - 1j, 0.25j, 1.0 + 0.5j, -1.0 + 0.5j),
+                      temperature=1.0, euclidean_action=0.5, symmetry="reflection")
+_UNPAIRED = QNMSpectrum(modes=(0.5 - 1j, -0.25 - 0.5j, 0.75 + 0.5j), temperature=1.0)
+_HEAVY = QNMSpectrum(modes=(0.5 - 1j, -0.5 - 1j), temperature=1.0, euclidean_action=800.0,
+                     symmetry="reflection")
+
+
+@_GATE
+@given(case=_qnm_case())
+@example(case=(_PAIRED, ((-1.0, 1.0, -1.0, 1.0), (9, 9))))         # every mode on a node
+@example(case=(_UNPAIRED, ((-1.0, 1.0, -1.0, 1.0), (9, 9))))
+@example(case=(_UNPAIRED, ((2.0 ** 400, 2.0 ** 401, -1.0, 1.0), (3, 3))))  # log|Z| > 745
+@example(case=(_HEAVY, ((-1.0, 1.0, -1.0, 1.0), (3, 3))))          # log|Z| < -745
+@example(case=(_PAIRED, ((2.0 ** 1022, 2.0 ** 1023, -1.0, 1.0), (2, 3))))  # z/a overflows
+def test_qnm_scan_matches_scalar(case):
+    spec, grid = case
+    _assert_scan_matches_scalar("qnm_conjectured", *grid, {"spectrum": spec},
+                                lambda z: conjectured_partition_log(z, spec))
+
+
+def test_grid_scan_memory_is_chunked():
+    # a whole-grid broadcast of 40,000 nodes x 1000 factors would need
+    # about 320 MB per float64 temporary; chunks keep the peak small
+    tracemalloc.start()
+    try:
+        grid_scan("oscillator_product", (-1.0, 1.0, 0.5, 1.5), (200, 200), {"n_factors": 1000})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def _loop_local_maxima(vals):
@@ -186,8 +407,8 @@ def test_vectorized_locator_matches_loop(vals):
     scan = GridScan(region=(0.0, 1.0, 0.0, 1.0), resolution=(cols, rows),
                     log_abs=vals.ravel(), arg=np.zeros(rows * cols),
                     flags=np.full(rows * cols, ""))
-    assert locate_poles(scan) == [scan.node_location(i) for i in _loop_local_maxima(vals)]
-    assert locate_zeros(scan) == [scan.node_location(i) for i in _loop_local_maxima(-vals)]
+    assert locate_poles(scan) == [_node(scan, i) for i in _loop_local_maxima(vals)]
+    assert locate_zeros(scan) == [_node(scan, i) for i in _loop_local_maxima(-vals)]
 
 
 def test_csv_writer_layout(tmp_path):
@@ -339,6 +560,22 @@ def test_cli_qnm_surface(tmp_path, capsys):
     assert cli_dispatch(["scan", "--evaluator", "qnm_conjectured", *grid,
                          "--out", str(generic)]) == 0
     assert generic.read_bytes() == out_csv.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["oscillator", "--beta", "1500"],
+    ["scan", "--evaluator", "oscillator_closed", "--region", "1400", "1500", "0.1", "1",
+     "--cols", "4", "--rows", "4"],
+], ids=["oscillator", "scan"])
+def test_cli_closed_form_far_field_answers(capsys, argv):
+    # 1/(2 sinh(x/2)) overflowed in sinh for |Re x| > ~1420 (exit 2,
+    # "math range error"); it now underflows to 0, a zero on the scan
+    assert cli_dispatch(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "scan":
+        assert "flags: 0 pole, 12 zero" in out   # Re beta = 1400 is still representable
+    else:
+        assert "closed_form   0j" in out.replace("0+0j", "0j")
 
 
 def test_cli_scan_formats_are_deterministic(tmp_path):

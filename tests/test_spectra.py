@@ -135,6 +135,41 @@ def test_closed_form_at_i_pi():
     assert abs(closed_form_oscillator(complex(0.0, math.pi), 1.0) - complex(0.0, -0.5)) < 1e-14
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1500.0, 1500.0), st.floats(-1e4, 1e4))
+def test_closed_form_agrees_with_mpmath(re, im):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    x = complex(re, im)
+    try:
+        got = closed_form_oscillator(x, 1.0)
+    except PoleError:
+        return
+    want = 1 / (2 * mpmath.sinh(mpmath.mpc(x) / 2))
+    if abs(want) < 2.2250738585072014e-308:      # below the normal range: underflows
+        assert got == 0 or abs(got) < 2.3e-308
+        return
+    assert abs(mpmath.mpc(got) - want) <= 1e-12 * abs(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, 3), st.floats(-11.0, -1.0), st.floats(0.0, 2.0 * math.pi))
+def test_closed_form_near_the_poles_agrees_with_mpmath(k, log10_eps, phase):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    x = complex(0.0, 2.0 * math.pi * k) + 10.0 ** log10_eps * cmath.exp(1j * phase)
+    want = 1 / (2 * mpmath.sinh(mpmath.mpc(x) / 2))
+    assert abs(mpmath.mpc(closed_form_oscillator(x, 1.0)) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("re", [1416.0, 1419.0, 1420.0, 1500.0, 1e5, 1e300])
+def test_closed_form_far_field_underflows_instead_of_raising(re):
+    # cmath.sinh overflowed once |Re x/2| > ~710
+    for x in (complex(re, 0.5), complex(-re, -0.5)):
+        got = closed_form_oscillator(x, 1.0)
+        assert got == 0 or abs(got) >= 2.2250738585072014e-308
+
+
 def test_closed_form_pole_signal_carries_index():
     with pytest.raises(PoleError) as exc:
         closed_form_oscillator(complex(0.0, 2.0 * math.pi), 1.0)
