@@ -1,20 +1,17 @@
 """Shared numerical kernels.
 
 The result and signal types every route returns or raises, the
-pole-lattice test, and two numerical primitives:
+pole-lattice test, and a principal-branch complex log-gamma, accurate
+to >= 12 significant digits for |z| <= 100, computed by Stirling's
+series after pushing the argument right with the recurrence
+log Gamma(z) = log Gamma(z+1) - log z; the QNM gamma towers and the
+Riemann-Siegel theta are built on it.
 
-* a principal-branch complex log-gamma, accurate to >= 12 significant
-  digits for |z| <= 100, computed by Stirling's series after pushing the
-  argument right with the recurrence log Gamma(z) = log Gamma(z+1) - log z;
-  the QNM gamma towers and the Riemann-Siegel theta are built on it;
-* a log-domain product accumulator that tracks the argument continuously
-  between consecutive factors, so slowly winding products never lose a
-  branch.  It is a utility for callers with winding streams: the
-  library's own products pair their factors and sum principal logs.
-
-The array kernels behind grid scans share three helpers: node chunks
-that bound every node x factor temporary to CHUNK_ELEMENTS, the
-pole-lattice mask, and CPython's complex division on arrays.
+Every product is one array kernel over nodes, and its scalar is a
+one-node call.  The kernels share three helpers: node chunks that bound
+every node x factor temporary to CHUNK_ELEMENTS, the pole-lattice mask,
+and the per-node error estimate |Z| * (error of log Z) taken in the log
+domain.
 
 All functions are pure; nothing here holds mutable state.
 """
@@ -24,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -70,7 +66,10 @@ class DivergenceDomainError(NumericalDomainError):
 
 
 class ZeroFactorSignal(NumericalDomainError):
-    """A product factor is exactly zero; carries the factor index."""
+    """A product factor is exactly zero; carries the factor index.
+
+    No route raises it any more (the kernels flag such nodes as zeros);
+    it stays for callers that catch every signal by name."""
 
     def __init__(self, index: int, message: str | None = None):
         super().__init__(message or f"factor at index {index} is exactly zero (log -> -inf)")
@@ -88,7 +87,10 @@ class ZeroHitSignal(NumericalDomainError):
 
 
 class PoleHitSignal(NumericalDomainError):
-    """The evaluation point coincides with a pole entry of a zero/pole set."""
+    """The evaluation point coincides with a pole entry of a zero/pole set.
+
+    No route raises it any more (poles raise PoleError); it stays for
+    callers that catch every signal by name."""
 
     def __init__(self, message: str, *, index: int | None = None,
                  location: complex | None = None):
@@ -115,24 +117,23 @@ def lattice_pole_mask(x_re: np.ndarray, x_im: np.ndarray) -> np.ndarray:
     return np.hypot(x_re, x_im - TWO_PI * k) < 1e-12
 
 
-def complex_quotient(a_re, a_im, b_re, b_im):
-    """(Re, Im) of a / b on arrays, rounded as CPython's complex division
-    (Smith's method: with r = b.im/b.re when |b.re| >= |b.im|, else
-    b.re/b.im, the numerators take (P, Q) = (1, r) or (r, 1)), so array
-    kernels form the scalar routes' quotients bit for bit."""
-    wide = np.abs(b_re) >= np.abs(b_im)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(wide, b_im / b_re, b_re / b_im)
-    den = np.where(wide, b_re + b_im * ratio, b_re * ratio + b_im)
-    p, q = np.where(wide, 1.0, ratio), np.where(wide, ratio, 1.0)
-    return (a_re * p + a_im * q) / den, (a_im * p - a_re * q) / den
-
-
 def node_chunks(n_nodes: int, width: int) -> list[slice]:
     """Slices covering range(n_nodes), each holding at most
     CHUNK_ELEMENTS // width nodes (at least one)."""
     step = max(1, CHUNK_ELEMENTS // max(1, width))
     return [slice(i, i + step) for i in range(0, n_nodes, step)]
+
+
+def scaled_error(log_abs: np.ndarray, log_err) -> np.ndarray:
+    """Per-node error estimate |Z| * err from log|Z| and log err.
+
+    Taken as exp(log|Z| + log err), so neither factor is formed: an err
+    beyond the float range cannot overflow, and a value that underflows
+    gives 0, never 0 * inf = NaN.  Where the sum is inf - inf (a pole
+    whose err vanishes) fmin turns its NaN into inf.  The kernels call it
+    inside their np.errstate(all="ignore").
+    """
+    return np.exp(np.fmin(log_abs + log_err, np.inf))
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,11 @@ class EvaluationResult:
 
 def result_from_log(log_value: complex, error_estimate: float = 0.0,
                     terms_used: int = 0) -> EvaluationResult:
-    """Build an EvaluationResult from an accumulated log, guarding exp overflow."""
+    """Build an EvaluationResult from an accumulated log, guarding exp
+    overflow; a NaN log (an intermediate overflowed) raises OverflowError."""
     log_value = complex(log_value)
+    if cmath.isnan(log_value):
+        raise OverflowError(f"log value {log_value} is not a number: an intermediate overflowed")
     if log_value.real == -math.inf:
         value = 0j
     elif log_value.real > EXP_OVERFLOW:
@@ -228,45 +232,3 @@ def log_gamma(z: complex) -> complex:
     for c in reversed(_STIRLING[:-1]):
         p = p * rr + c
     return (w - 0.5) * cmath.log(w) - w + HALF_LOG_TWO_PI + p / w - shift
-
-
-def stable_log_product(factors: Iterable[complex], *,
-                       tail_hint: float | None = None) -> EvaluationResult:
-    """Accumulate sum(log f) over a factor stream with branch continuation.
-
-    Each factor's argument is chosen on the branch nearest the previous
-    factor's argument, so a stream whose arguments drift slowly is unwound
-    continuously past +-pi.  Streams whose consecutive arguments jump by
-    more than pi/2 must be refactored (e.g. paired) by the caller; the
-    unwinding is then ambiguous, although ``value`` remains correct
-    because exp is 2*pi*i periodic.
-
-    Raises ZeroFactorSignal (with the offending index) on an exactly-zero
-    factor and OverflowError on a non-finite one.  ``error_estimate`` is
-    |log f_last|, scaled by ``tail_hint`` (an expected remaining-terms
-    count) when the caller supplies one.
-    """
-    total_re = 0.0
-    total_im = 0.0
-    prev_arg: float | None = None
-    count = 0
-    last_log_mag = 0.0
-    for i, f in enumerate(factors):
-        f = complex(f)
-        if f == 0:
-            raise ZeroFactorSignal(i)
-        if not (math.isfinite(f.real) and math.isfinite(f.imag)):
-            raise OverflowError(f"non-finite factor at index {i}: {f!r}")
-        a = cmath.phase(f)
-        if prev_arg is not None:
-            a += TWO_PI * round((prev_arg - a) / TWO_PI)
-        lr = math.log(abs(f))
-        total_re += lr
-        total_im += a
-        prev_arg = a
-        count += 1
-        last_log_mag = math.hypot(lr, a)
-    if count == 0:
-        return result_from_log(0j, 0.0, 0)
-    err = last_log_mag * (tail_hint if tail_hint is not None else 1.0)
-    return result_from_log(complex(total_re, total_im), err, count)

@@ -14,11 +14,11 @@ here solves a wave equation.  Two partition evaluations are built on it:
   exact conjugates, so each mode's contribution is real by construction.
 
 * conjectured_partition_log: log Z = -S_E + sum log(1 - z/z*), the
-  zero-product guess, evaluated through the shared Weierstrass engine
-  so QNMs are literally zeros of Z (hitting one raises the zero-hit
-  signal).  Reflection closure z -> -conj(z) may hold to 1e-12; the
-  spectrum snaps its modes onto exact mirrors and builds the engine's
-  ZeroSet once, at construction, not per evaluation.
+  zero-product guess, so QNMs are literally zeros of Z (hitting one
+  raises the zero-hit signal).  Reflection closure z -> -conj(z) may
+  hold to 1e-12; the spectrum snaps its modes onto exact mirrors and
+  groups each mode with its mirror once, at construction, not per
+  evaluation.
 
 The regularization is testable without trusting it: the ratio of two
 truncated towers, renormalized by N^(a-b), converges to
@@ -43,12 +43,11 @@ from .core import (
     NumericalDomainError,
     PoleError,
     TWO_PI,
-    complex_quotient,
+    ZeroHitSignal,
     log_gamma,
     node_chunks,
     result_from_log,
 )
-from .product_forms import PairingStrategy, ZeroEntry, ZeroSet, general_weierstrass_eval
 
 
 class InsufficientModesError(NumericalDomainError):
@@ -61,8 +60,9 @@ class QNMSpectrum:
 
     symmetry="reflection": closed under z -> -conj(z) to within 1e-12.
     Construction snaps inexact partners onto exact mirrors (a mode that is
-    its own near-mirror onto the imaginary axis) and builds the snapped
-    ZeroSet once; the modes field stays as given.
+    its own near-mirror onto the imaginary axis) and groups the snapped
+    modes once, each with its mirror under reflection symmetry, alone
+    otherwise; the modes field stays as given.
     """
 
     modes: tuple[complex, ...]
@@ -94,6 +94,7 @@ class QNMSpectrum:
         if self.symmetry not in ("none", "reflection"):
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
         locations = list(self.modes)
+        partner = list(range(len(locations)))
         if self.symmetry == "reflection":
             index_of = {z: i for i, z in enumerate(locations)}
             for i, z in enumerate(locations):
@@ -111,8 +112,14 @@ class QNMSpectrum:
                 del index_of[locations[j]]
                 locations[j] = mirror
                 index_of[mirror] = j
-        object.__setattr__(self, "_zeros", ZeroSet(
-            tuple(ZeroEntry(z, 1, "zero") for z in locations), symmetry=self.symmetry))
+            partner = [index_of[-z.conjugate()] for z in locations]
+        # groups: each mirrored pair once (leading, so a kernel multiplies the
+        # pairs' factors in one slice), then the modes that are their own mirror
+        modes = np.array(locations, dtype=complex)
+        pairs = [(i, j) for i, j in enumerate(partner) if i < j]
+        lead = [i for i, _ in pairs] + [i for i, j in enumerate(partner) if i == j]
+        object.__setattr__(self, "_modes", modes)
+        object.__setattr__(self, "_groups", (modes[lead], modes[[j for _, j in pairs]]))
 
 
 def qnm_to_json(spec: QNMSpectrum) -> str:
@@ -197,71 +204,50 @@ def one_loop_log_partition(spec: QNMSpectrum, delta: float = 0.0) -> complex:
     return total
 
 
-def conjectured_partition_log(z: complex, spec: QNMSpectrum,
-                              pairing: PairingStrategy | None = None,
-                              ) -> EvaluationResult:
+def conjectured_partition_log(z: complex, spec: QNMSpectrum) -> EvaluationResult:
     """log Z = -S_E + sum_{z*} log(1 - z/z*), modes as first-order zeros.
 
-    pairing defaults to reflection_pairs when the spectrum is
-    reflection-symmetric, else unpaired.  z exactly on a mode raises the
-    zero-hit signal: the conjecture's testable content is that Z
-    vanishes there.
+    One node of conjectured_partition_log_array.  z on a mode raises the
+    zero-hit signal, carrying the index of the nearest mode: the
+    conjecture's testable content is that Z vanishes there.
     """
-    if pairing is None:
-        pairing = (PairingStrategy.REFLECTION_PAIRS
-                   if spec.symmetry == "reflection" else PairingStrategy.UNPAIRED)
-    r = general_weierstrass_eval(complex(z), spec._zeros, genus=0, pairing=pairing)
-    return result_from_log(r.log_value - spec.euclidean_action,
-                           r.error_estimate, r.terms_used)
+    z = complex(z)
+    log_z, _, err, terms = conjectured_partition_log_array(np.array([z]), spec)
+    if log_z[0].real == -math.inf:
+        raise ZeroHitSignal(f"evaluation point {z} is a zero of the product",
+                            index=int(np.argmin(np.abs(spec._modes - z))), location=z)
+    return result_from_log(log_z[0], err[0], terms[0])
 
 
-def _factors(z_re, z_im, a_re, a_im):
-    """(Re, Im) of 1 - z/a, rounded as the scalar engine rounds it."""
-    u_re, u_im = complex_quotient(z_re, z_im, a_re, a_im)
-    return 1.0 - u_re, 0.0 - u_im
+def conjectured_partition_log_array(z: np.ndarray, spec: QNMSpectrum):
+    """The product of conjectured_partition_log on a complex array of
+    nodes: (log Z, flags, error_estimate, terms_used) per node.
 
-
-def conjectured_partition_log_array(z: np.ndarray, spec: QNMSpectrum,
-                                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of conjectured_partition_log (default pairing) for grid
-    scans: (log Z, flags) per point of a complex array.
-
-    The factor groups are the scalar engine's: each mode with its mirror
-    when the spectrum is reflection-symmetric, in ascending |mode|, and
-    each factor 1 - z/z* is formed with the scalar's rounding
-    (core.complex_quotient), so a group that vanishes there vanishes
-    here.  Flags are "zero" on a mode, where a group vanishes or where
-    exp(log Z) underflows to 0, else "".
+    Each group (a mode with its mirror under reflection symmetry, else a
+    mode alone) enters with the principal log of its product.  A factor
+    1 - z/z* is formed as (z* - z) (1/z*), exactly 0 on a mode, so a
+    mode hit has log -inf.  Flags are "zero" where exp(log Z) underflows to 0,
+    which includes every mode, else "".  The product is finite, so the
+    error estimate is 0 and every mode is a term.
     """
-    zeros = spec._zeros
-    modes = np.array([e.location for e in zeros.entries], dtype=complex)
-    partner = zeros._partner if spec.symmetry == "reflection" else range(modes.size)
-    first, second, consumed = [], [], set()
-    for i in zeros._order:
-        if i not in consumed:
-            consumed.update((i, partner[i]))
-            first.append(i)
-            second.append(partner[i])
-    first, second = np.array(first, dtype=int), np.array(second, dtype=int)
-    paired = second != first
-    a_re, a_im = modes.real[first, None], modes.imag[first, None]
-    b_re, b_im = modes.real[second[paired], None], modes.imag[second[paired], None]
+    lead, mate = spec._groups
+    lead_inv, mate_inv = 1.0 / lead, 1.0 / mate
     log_z = np.empty(z.shape, dtype=complex)
-    hit = np.empty(z.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for sl in node_chunks(z.size, modes.size):
-            z_re, z_im = z.real[None, sl], z.imag[None, sl]
-            f_re, f_im = _factors(z_re, z_im, a_re, a_im)
-            g_re, g_im = _factors(z_re, z_im, b_re, b_im)
-            h_re, h_im = f_re[paired], f_im[paired]
-            f_re[paired], f_im[paired] = h_re * g_re - h_im * g_im, h_re * g_im + h_im * g_re
-            # a sum over axis 0 adds one group after another, as the scalar does
-            log_z[sl] = (np.log(np.hypot(f_re, f_im)).sum(axis=0)
-                         + 1j * np.arctan2(f_im, f_re).sum(axis=0))
-            hit[sl] = (((f_re == 0) & (f_im == 0)).any(axis=0)
-                       | (modes[:, None] == z[None, sl]).any(axis=0))
+        for sl in node_chunks(z.size, lead.size):
+            nodes = z[sl, None]
+            f = lead - nodes
+            f *= lead_inv
+            g = mate - nodes
+            g *= mate_inv
+            f[:, :mate.size] *= g
+            log_z.real[sl] = np.log(np.abs(f)).sum(axis=1)
+            # + 0.0 turns a -0.0 imaginary part into +0.0: a group product on
+            # the negative real axis has the principal argument +pi
+            log_z.imag[sl] = np.arctan2(f.imag + 0.0, f.real).sum(axis=1)
     log_z -= spec.euclidean_action
-    return log_z, np.where(hit | (log_z.real < EXP_UNDERFLOW), "zero", "")
+    flags = np.where(log_z.real < EXP_UNDERFLOW, "zero", "")
+    return log_z, flags, np.zeros(z.shape), np.full(z.shape, len(spec.modes))
 
 
 class SpacingFit(NamedTuple):

@@ -5,10 +5,11 @@ complex plane and records log|Z| and arg Z per node; pole and zero hits
 become flags on the node instead of propagating as errors.  Scans feed
 three writers (CSV table, JSON document, PGM heatmap) meant for offline
 plotting.  The whole grid is evaluated as one array: each evaluator is
-the array twin of a library function, which works through the nodes in
-chunks of at most core.CHUNK_ELEMENTS node x factor elements, so memory
-stays flat whatever the resolution (zeta_em_array calls zeta_em once per
-node).  Identical invocations produce byte-identical files.
+the array kernel behind a library function (the function itself is a
+one-node call of it), which works through the nodes in chunks of at
+most core.CHUNK_ELEMENTS node x factor elements, so memory stays flat
+whatever the resolution (zeta_em_array calls zeta_em once per node).
+Identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -112,9 +113,10 @@ class GridScan:
 
 # Each builder binds its keyword parameters, with their defaults, to an
 # array evaluator: a complex array of nodes -> (log Z, flags), flags ""
-# / "zero" / "pole" per node.  The closures look up the array kernels as
-# module globals at call time, so a name replaced in this module (to
-# trace or count calls) is seen by every later scan.
+# / "zero" / "pole" per node (a product kernel's error estimates and term
+# counts are dropped).  The closures look up the array kernels as module
+# globals at call time, so a name replaced in this module (to trace or
+# count calls) is seen by every later scan.
 
 def _oscillator_closed(e0=1.0):
     e0 = float(e0)
@@ -123,7 +125,7 @@ def _oscillator_closed(e0=1.0):
 
 def _oscillator_product(e0=1.0, n_factors=1000):
     e0, n_factors = float(e0), int(n_factors)
-    return lambda z: pole_product_oscillator_array(z, e0, n_factors)
+    return lambda z: pole_product_oscillator_array(z, e0, n_factors)[:2]
 
 
 def _zeta_em(cutoff=None):
@@ -138,7 +140,7 @@ def _zeta_hadamard(zeros=None, zero_count=None):
     if zeros is None:
         zeros = find_zeros(int(zero_count) if zero_count is not None else 100)
     k = int(zero_count) if zero_count is not None else len(zeros)
-    return lambda z: hadamard_product_array(z, zeros, k)
+    return lambda z: hadamard_product_array(z, zeros, k)[:2]
 
 
 def _qnm_conjectured(spectrum=None):
@@ -146,7 +148,7 @@ def _qnm_conjectured(spectrum=None):
         raise ValueError("qnm_conjectured needs a spectrum (QNMSpectrum or file path)")
     if not isinstance(spectrum, QNMSpectrum):
         spectrum = load_qnm_file(spectrum)
-    return lambda z: conjectured_partition_log_array(z, spectrum)
+    return lambda z: conjectured_partition_log_array(z, spectrum)[:2]
 
 
 _EVALUATORS = {

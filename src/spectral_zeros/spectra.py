@@ -166,38 +166,38 @@ def partition_direct(spec: Spectrum, beta: complex, n_terms: int | None = None,
 def closed_form_oscillator(beta: complex, e0: float) -> complex:
     """exp(-beta E0/2) / (1 - exp(-beta E0)), i.e. 1/(2 sinh(beta E0/2)).
 
-    Evaluated without overflow: Z is odd in x = beta E0, so it is taken
-    at y = +-x with Re y >= 0, where
-    1 - e^{-y} = -expm1(-Re y) + 2 e^{-Re y} sin^2(Im y/2) + i e^{-Re y} sin(Im y)
-    adds two non-negative terms.  A value below the normal range of
-    doubles (|Z| < 2.2e-308, from |Re x| > ~1417) underflows to 0.
+    One node of closed_form_oscillator_array, which evaluates it without
+    overflow.  A value below the normal range of doubles (|Z| < 2.2e-308,
+    from |Re x| > ~1417) underflows to 0.
 
     Raises PoleError carrying the nearest integer k when beta*E0 is
     within 1e-12 of a pole 2 pi i k (k = 0 is the essential 1/(beta E0)
     divergence).
     """
-    if not e0 > 0:
-        raise ValueError(f"oscillator quantum must be positive, got {e0}")
-    x = complex(beta) * e0
-    k = lattice_pole_index(x)
-    if k is not None:
+    beta = complex(beta)
+    log_z, flags = closed_form_oscillator_array(np.array([beta]), e0)
+    if flags[0] == "pole":
+        k = lattice_pole_index(beta * e0)
         raise PoleError(f"closed form has a pole at beta*E0 = 2*pi*i*{k}",
-                        location=complex(beta), nearest=k)
-    sign = 1.0 if x.real >= 0 else -1.0
-    y = sign * x
-    decay = math.exp(-y.real)
-    s = math.sin(0.5 * y.imag)
-    den = complex(2.0 * decay * s * s - math.expm1(-y.real), decay * math.sin(y.imag))
-    value = sign * cmath.exp(-0.5 * y) / den
-    return value if abs(value) >= sys.float_info.min else 0j
+                        location=beta, nearest=k)
+    return 0j if flags[0] == "zero" else cmath.exp(log_z[0])
+
+
+def _one_minus_exp(a, b):
+    """(Re, Im) of 1 - e^{-y} for y = a + ib with a >= 0, as
+    -expm1(-a) + 2 e^{-a} sin^2(b/2) + i e^{-a} sin(b): the real part adds
+    two non-negative terms, so nothing cancels or overflows."""
+    decay = np.exp(-a)
+    s = np.sin(0.5 * b)
+    return 2.0 * decay * s * s - np.expm1(-a), decay * np.sin(b)
 
 
 def closed_form_oscillator_array(beta: np.ndarray, e0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of closed_form_oscillator for grid scans: (log Z, flags)
-    per point of a complex array.  Flags are "pole" on the lattice, "zero"
-    where the scalar underflows to 0, else ""; the log is taken from the
-    same overflow-free form, log Z = -y/2 - log(1 - e^{-y}) (+ i pi when
-    y = -x).
+    """closed_form_oscillator on a complex array of nodes: (log Z, flags)
+    per node.  Z is odd in x = beta E0, so it is taken at y = +-x with
+    Re y >= 0: log Z = -y/2 - log(1 - e^{-y}) (+ i pi when y = -x).
+    Flags are "pole" on the lattice, "zero" below the normal range of
+    doubles, else "".
     """
     if not e0 > 0:
         raise ValueError(f"oscillator quantum must be positive, got {e0}")
@@ -209,13 +209,10 @@ def closed_form_oscillator_array(beta: np.ndarray, e0: float) -> tuple[np.ndarra
             flip = x_re < 0
             a = np.where(flip, -x_re, x_re)
             b = np.where(flip, -x_im, x_im)
-            decay = np.exp(-a)
-            s = np.sin(0.5 * b)
-            den_re = 2.0 * decay * s * s - np.expm1(-a)
-            den_im = decay * np.sin(b)
+            den_re, den_im = _one_minus_exp(a, b)
             log_z.real[sl] = log_abs = -0.5 * a - np.log(np.hypot(den_re, den_im))
-            log_z.imag[sl] = (np.arctan2(-s, np.cos(0.5 * b)) - np.arctan2(den_im, den_re)
-                              + np.where(flip, math.pi, 0.0))
+            log_z.imag[sl] = (np.arctan2(-np.sin(0.5 * b), np.cos(0.5 * b))
+                              - np.arctan2(den_im, den_re) + np.where(flip, math.pi, 0.0))
             flags[sl] = np.where(log_abs < _LOG_TINY, "zero", "")
             flags[sl][lattice_pole_mask(x_re, x_im)] = "pole"
     return log_z, flags
@@ -226,34 +223,25 @@ def closed_form_affine(beta: complex, offset: float, gap: float) -> complex:
 
     Poles sit at beta*gap = 2*pi*i*k independently of the offset, which
     only scales the residues; this is the analytic content of "the poles
-    alone can't determine the energy level".
+    alone can't determine the energy level".  Evaluated at y = +-x,
+    x = beta*gap, with Re y >= 0 as the oscillator closed form is: for
+    Re x < 0, Z = -exp(beta*(gap - offset)) / (1 - e^{-y}), so no
+    intermediate overflows while the value is representable.
     """
     if not gap > 0:
         raise ValueError(f"affine gap must be positive, got {gap}")
-    x = complex(beta) * gap
+    beta = complex(beta)
+    x = beta * gap
     k = lattice_pole_index(x)
     if k is not None:
         raise PoleError(f"closed form has a pole at beta*gap = 2*pi*i*{k}",
-                        location=complex(beta), nearest=k)
-    return cmath.exp(-complex(beta) * offset) / (1.0 - cmath.exp(-x))
-
-
-def load_spectrum_file(path, label: str | None = None) -> Spectrum:
-    """Read an explicit spectrum: one real level per line, ascending,
-    '#' starts a comment."""
-    levels = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                levels.append(float(text))
-            except ValueError:
-                raise ValueError(f"{path}:{ln}: not a real number: {text!r}") from None
-    if not levels:
-        raise ValueError(f"{path}: no levels found")
-    try:
-        return explicit(levels, label=label if label is not None else str(path))
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+                        location=beta, nearest=k)
+    if x.real >= 0:
+        return cmath.exp(-beta * offset) / complex(*_one_minus_exp(x.real, x.imag))
+    # gap - offset and its rounding error (2Sum), each exponentiated: exp
+    # would amplify that error by |beta (gap - offset)|, up to ~700 here
+    d = gap - offset
+    t = d - gap
+    d_err = (gap - (d - t)) + (-offset - t)
+    return (-cmath.exp(beta * d) * cmath.exp(beta * d_err)
+            / complex(*_one_minus_exp(-x.real, -x.imag)))

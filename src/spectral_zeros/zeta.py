@@ -43,6 +43,7 @@ from .core import (
     node_chunks,
     result_from_log,
     result_from_value,
+    scaled_error,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -63,9 +64,13 @@ _BERNOULLI_EVEN = (
     43867.0 / 798.0,
 )
 
-# M, the gamma-factor terms of hadamard_product, and its trigamma tail psi'(M+1)
+# M, the gamma-factor terms of hadamard_product, their divisors 2n, the
+# trigamma tail psi'(M+1) and the coefficient of beta in log Z:
+# (gamma_E + ln pi)/2 from the prefactor, -H_M/2 = -sum 1/2n from the e^{-beta/2n}
 _GAMMA_FACTOR_TERMS = 200
+_TWO_N = 2.0 * np.arange(1, _GAMMA_FACTOR_TERMS + 1, dtype=np.float64)
 _TRIGAMMA_TAIL = float(polygamma(1, _GAMMA_FACTOR_TERMS + 1))
+_LINEAR = (EULER_GAMMA + LOG_PI) / 2.0 - math.fsum(1.0 / _TWO_N)
 
 # step of the critical-line sign scan in find_zeros
 _SCAN_STEP = 0.25
@@ -90,7 +95,12 @@ class DiscontinuityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ZetaZeroTable:
-    """Ascending positive ordinates gamma_k of zeros 1/2 + i gamma_k."""
+    """Ascending positive ordinates gamma_k of zeros 1/2 + i gamma_k.
+
+    Outside the dataclass fields it keeps the ordinates as an array and
+    the zero-factor scales 1/(1/4 + gamma_k^2), built once for every
+    Hadamard product over the table.
+    """
 
     ordinates: tuple[float, ...]
     source: str = "computed"  # "computed" | "file"
@@ -106,6 +116,10 @@ class ZetaZeroTable:
                 raise ValueError(f"ordinates must be strictly ascending, violated at index {i}")
         if self.source not in ("computed", "file"):
             raise ValueError(f"source must be 'computed' or 'file', got {self.source!r}")
+        g = np.array(self.ordinates, dtype=np.float64)
+        object.__setattr__(self, "_g", g)
+        # numpy divides a complex by a real array as a product with 1/d
+        object.__setattr__(self, "_zero_scale", 1.0 / (0.25 + g * g))
 
     def __len__(self):
         return len(self.ordinates)
@@ -217,99 +231,79 @@ def hadamard_product(beta: complex, zeros: ZetaZeroTable, zero_count: int) -> Ev
     The zero factors are the conjugate-paired Hadamard factors
     (1-beta/rho)(1-beta/rho_bar); unpaired they would not converge.  The
     trailing exponential is the trigamma tail of the gamma-factor
-    product.  Truncation of the zero product dominates the error; the
-    estimate uses the zero-density heuristic for sum_{k>K} 1/gamma_k^2.
+    product.  One node of hadamard_product_array.  Raises PoleError at
+    beta = 1 and ZeroHitSignal, naming the ordinate, on a zero; a trivial
+    zero -2n is the exact value 0, not a signal.
     """
     beta = complex(beta)
-    if abs(beta - 1.0) < 1e-12:
+    log_z, flags, err, terms = hadamard_product_array(np.array([beta]), zeros, zero_count)
+    if flags[0] == "pole":
         raise PoleError("the product has its simple pole at beta=1",
                         location=beta, nearest=1)
-    if zero_count < 0 or zero_count > len(zeros.ordinates):
-        raise ValueError(f"zero_count={zero_count} exceeds table size {len(zeros.ordinates)}")
-    g = np.asarray(zeros.ordinates[:zero_count])
-    # abs(beta - complex(0.5, +-g_k)) < 1e-12 with abs's rounding (np.abs may differ)
-    hits = np.flatnonzero(np.hypot(beta.real - 0.5, abs(beta.imag) - g) < 1e-12)
-    if hits.size:
-        k = int(hits[0])
-        raise ZeroHitSignal(f"beta lies on the nontrivial zero 1/2 +- i*{g[k]}",
-                            index=k, location=beta)
-    q = beta * beta - beta
-    zero_factors = 1.0 + q / (0.25 + g * g)
-    if np.any(zero_factors == 0):
-        k = int(np.flatnonzero(zero_factors == 0)[0])
-        raise ZeroHitSignal("beta lies on a paired zero factor", index=k, location=beta)
-
-    n = np.arange(1, _GAMMA_FACTOR_TERMS + 1, dtype=np.float64)
-    w = beta / (2.0 * n)
-    gamma_factors = 1.0 + w
-    if np.any(gamma_factors == 0):
-        # beta = -2n: a trivial zero, an exact value rather than a signal
-        return result_from_value(0j, 0.0, zero_count + _GAMMA_FACTOR_TERMS)
-
-    log_z = (EULER_GAMMA + LOG_PI) * beta / 2.0 - LOG_TWO
-    log_z -= cmath.log(beta - 1.0)
-    log_z += complex(np.sum(np.log(zero_factors)))
-    log_z += complex(np.sum(np.log(gamma_factors) - w))
-    log_z -= beta * beta / 8.0 * _TRIGAMMA_TAIL
-
-    if zero_count:
-        gk = float(g[-1])
-        zero_tail = (math.log(gk / TWO_PI) + 1.0) / (TWO_PI * gk)
-    else:
-        zero_tail = 0.023  # sum over every zero pair, no table at all
-    log_err = abs(q) * zero_tail + abs(beta) ** 3 / (48.0 * _GAMMA_FACTOR_TERMS ** 2)
-    r = result_from_log(log_z, 0.0, zero_count + _GAMMA_FACTOR_TERMS)
-    return EvaluationResult(value=r.value, log_value=r.log_value,
-                            error_estimate=abs(r.value) * log_err,
-                            terms_used=r.terms_used)
+    if flags[0] == "zero":
+        # the kernel's ordinate test; the first hit names the zero
+        g = zeros._g[:zero_count]
+        hits = np.flatnonzero(np.hypot(beta.real - 0.5, abs(beta.imag) - g) < 1e-12)
+        if hits.size:
+            k = int(hits[0])
+            raise ZeroHitSignal(f"beta lies on the nontrivial zero 1/2 +- i*{g[k]}",
+                                index=k, location=beta)
+    return result_from_log(log_z[0], err[0], terms[0])
 
 
-def hadamard_product_array(beta: np.ndarray, zeros: ZetaZeroTable,
-                           zero_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of hadamard_product for grid scans: (log Z, flags) per
-    point of a complex array.
+def hadamard_product_array(beta: np.ndarray, zeros: ZetaZeroTable, zero_count: int):
+    """The product of hadamard_product on a complex array of nodes:
+    (log Z, flags, error_estimate, terms_used) per node.
 
-    The factors are the scalar's, element for element: "pole" within
-    1e-12 of 1, "zero" within 1e-12 of an ordinate or where exp(log Z)
-    underflows to 0, which includes a vanishing factor (log -inf, as at
-    a trivial zero -2n, n <= 200), else "".  Each factor enters with its
-    principal log, and the sums are taken in the scalar's order.
+    Each factor enters with its principal log; the gamma factors' e^{-beta/2n}
+    enter as e^{-beta H_M/2}.  Flags are "pole" within 1e-12 of 1, "zero"
+    within 1e-12 of a zero 1/2 +- i gamma_k or where exp(log Z) underflows
+    to 0, which includes a vanishing factor (log -inf, as at a trivial zero
+    -2n, n <= M), else "".  Truncation of the zero product dominates the
+    error estimate, which takes the zero-density heuristic for
+    sum_{k>K} 1/gamma_k^2, plus the gamma factors' |beta|^3/48M^2.
     """
     if zero_count < 0 or zero_count > len(zeros.ordinates):
         raise ValueError(f"zero_count={zero_count} exceeds table size {len(zeros.ordinates)}")
-    g = np.asarray(zeros.ordinates[:zero_count], dtype=np.float64)
-    # numpy divides a complex by a real array as a product with 1/d
-    zero_scale = 1.0 / (0.25 + g * g)
-    gamma_scale = 1.0 / (2.0 * np.arange(1, _GAMMA_FACTOR_TERMS + 1, dtype=np.float64))
-    b_re, b_im = beta.real, beta.imag
-    pole = np.hypot(b_re - 1.0, b_im - 0.0) < 1e-12
-    # (beta^2 - beta) and the prefactor terms with CPython's complex arithmetic
-    q_re = (b_re * b_re - b_im * b_im) - b_re
-    q_im = (b_re * b_im + b_im * b_re) - b_im
-    log_re = (EULER_GAMMA + LOG_PI) * b_re / 2.0 - LOG_TWO
-    log_im = (EULER_GAMMA + LOG_PI) * b_im / 2.0
+    g = zeros._g[:zero_count]
+    zero_scale = zeros._zero_scale[:zero_count]
     on_ordinate = np.zeros(beta.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        log_pole = np.log((b_re - 1.0) + 1j * b_im)
-        log_re -= log_pole.real
-        log_im -= log_pole.imag
+        b_m1 = beta - 1.0
+        log_pole = np.log(b_m1)
+        q = beta * b_m1
+        log_z = beta * (_LINEAR - beta * (_TRIGAMMA_TAIL / 8.0)) - LOG_TWO - log_pole
         for sl in node_chunks(beta.size, zero_count + _GAMMA_FACTOR_TERMS):
-            br, bi = b_re[sl, None], b_im[sl, None]
-            on_ordinate[sl] = (np.hypot(br - 0.5, np.abs(bi) - g) < 1e-12).any(axis=1)
-            zf_re = 1.0 + q_re[sl, None] * zero_scale
-            zf_im = 0.0 + q_im[sl, None] * zero_scale
-            w_re, w_im = br * gamma_scale, bi * gamma_scale
-            gf_re, gf_im = 1.0 + w_re, 0.0 + w_im
-            log_re[sl] += np.log(np.hypot(zf_re, zf_im)).sum(axis=1)
-            log_im[sl] += np.arctan2(zf_im, zf_re).sum(axis=1)
-            log_re[sl] += (np.log(np.hypot(gf_re, gf_im)) - w_re).sum(axis=1)
-            log_im[sl] += (np.arctan2(gf_im, gf_re) - w_im).sum(axis=1)
-        t_re = (b_re * b_re - b_im * b_im) / 8.0 * _TRIGAMMA_TAIL
-        t_im = (b_re * b_im + b_im * b_re) / 8.0 * _TRIGAMMA_TAIL
-    log_z = (log_re - t_re) + 1j * (log_im - t_im)
+            nodes = beta[sl, None]
+            f = np.empty((nodes.shape[0], zero_count + _GAMMA_FACTOR_TERMS), dtype=complex)
+            np.multiply(q[sl, None], zero_scale, out=f[:, :zero_count])
+            # true real quotients: beta * (1/2n), which numpy's complex-by-real
+            # division also forms, misses the trivial zero -2n for n = 49, 98,
+            # 103, ..., where 2n (1/2n) rounds below 1
+            np.divide(nodes.real, _TWO_N, out=f[:, zero_count:].real)
+            np.divide(nodes.imag, _TWO_N, out=f[:, zero_count:].imag)
+            f += 1.0
+            log_z.real[sl] += np.log(np.abs(f)).sum(axis=1)
+            log_z.imag[sl] += np.arctan2(f.imag, f.real).sum(axis=1)
+            # an ordinate hit needs |Re beta - 1/2| < 1e-12 first
+            near = np.abs(nodes.real - 0.5) < 1e-12
+            if near.any():
+                on_ordinate[sl] = (near & (np.hypot(nodes.real - 0.5, np.abs(nodes.imag) - g)
+                                           < 1e-12)).any(axis=1)
+        if zero_count:
+            gk = float(g[-1])
+            zero_tail = (math.log(gk / TWO_PI) + 1.0) / (TWO_PI * gk)
+        else:
+            zero_tail = 0.023  # sum over every zero pair, no table at all
+        # log(|q| zero_tail + |beta|^3 / 48 M^2), whose terms overflow past
+        # |beta| ~ 1e102; |q| = |beta| |beta - 1|
+        log_beta = np.log(np.abs(beta))
+        log_err = np.logaddexp(log_beta + log_pole.real + math.log(zero_tail),
+                               3.0 * log_beta - math.log(48.0 * _GAMMA_FACTOR_TERMS ** 2))
+        error = scaled_error(log_z.real, log_err)
     flags = np.where(on_ordinate | (log_z.real < EXP_UNDERFLOW), "zero", "")
-    flags[pole] = "pole"
-    return log_z, flags
+    flags[np.abs(b_m1) < 1e-12] = "pole"
+    return log_z, flags, error, np.full(beta.shape, zero_count + _GAMMA_FACTOR_TERMS)
 
 
 def _adaptive_cutoff(t: float) -> int:

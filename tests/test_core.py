@@ -11,10 +11,9 @@ from scipy.special import loggamma as scipy_loggamma
 from spectral_zeros.core import (
     EvaluationResult,
     PoleError,
-    ZeroFactorSignal,
     log_gamma,
     result_from_log,
-    stable_log_product,
+    scaled_error,
 )
 
 
@@ -91,66 +90,12 @@ def test_log_gamma_reflection_branch_matched(x, y):
     assert abs(residual) < 1e-10
 
 
-# ------------------------------------------------------- stable_log_product
-
-def test_product_of_small_integers():
-    r = stable_log_product([2.0, 3.0, 4.0])
-    assert abs(r.log_value - math.log(24.0)) < 1e-14
-    assert abs(r.value - 24.0) < 1e-12
-    assert r.terms_used == 3
-
-
-def test_empty_product_is_one():
-    r = stable_log_product([])
-    assert r.value == 1
-    assert r.log_value == 0
-    assert r.terms_used == 0
-
-
-def test_winding_product_unwinds_past_pi():
-    # (1 + 1e-3 i)^(10^5): modulus (1+1e-6)^(5e4), argument 1e5*atan(1e-3) ~ 100 rad
-    n = 10 ** 5
-    r = stable_log_product([complex(1.0, 1e-3)] * n)
-    assert abs(r.log_value.imag - n * math.atan2(1e-3, 1.0)) < 1e-9
-    assert abs(r.log_value.real - 0.5 * n * math.log1p(1e-6)) < 1e-9
-    assert r.log_value.imag > math.pi  # genuinely unwound
-
-
-def test_zero_factor_signal_reports_index():
-    with pytest.raises(ZeroFactorSignal) as exc:
-        stable_log_product([1.0, 2.0, 0.0, 4.0])
-    assert exc.value.index == 2
-
-
-def test_nonfinite_factor_overflows():
-    with pytest.raises(OverflowError):
-        stable_log_product([1.0, complex(math.inf, 0.0)])
-
-
-@given(st.lists(st.complex_numbers(max_magnitude=0.3, allow_nan=False,
-                                   allow_infinity=False), max_size=30),
-       st.randoms(use_true_random=False))
-@settings(max_examples=200)
-def test_product_log_is_permutation_invariant(perturbations, rnd):
-    # absolutely convergent shape: factors 1 + a_k with |a_k| <= 0.3
-    factors = [1.0 + a for a in perturbations]
-    shuffled = list(factors)
-    rnd.shuffle(shuffled)
-    r1 = stable_log_product(factors)
-    r2 = stable_log_product(shuffled)
-    assert abs(r1.log_value - r2.log_value) < 1e-10
-
-
-def test_error_estimate_scales_with_tail_hint():
-    base = stable_log_product([2.0, 1.5]).error_estimate
-    scaled = stable_log_product([2.0, 1.5], tail_hint=7.0).error_estimate
-    assert abs(scaled - 7.0 * base) < 1e-15
-
-
 # ------------------------------------------------------------------ results
 
 def test_result_exp_log_consistency():
-    r = stable_log_product([complex(1.1, 0.2)] * 50)
+    # a winding log: its imaginary part is ~9, far past pi
+    r = result_from_log(50 * cmath.log(complex(1.1, 0.2)))
+    assert r.log_value.imag > math.pi
     assert abs(cmath.exp(r.log_value) - r.value) <= 1e-12 * abs(r.value)
 
 
@@ -158,6 +103,20 @@ def test_result_from_log_overflow_guard():
     r = result_from_log(complex(800.0, 1.0))
     assert r.value.real == math.inf
     assert r.log_value == complex(800.0, 1.0)
+
+
+def test_result_from_log_rejects_nan():
+    with pytest.raises(OverflowError):
+        result_from_log(complex(math.nan, 0.0))
+
+
+def test_scaled_error_never_forms_zero_times_inf():
+    # |Z| underflows while the error is beyond the float range: 0, not NaN;
+    # inf - inf, as at a pole with a vanishing error, gives inf
+    with np.errstate(invalid="ignore"):
+        got = scaled_error(np.array([-1e300, 0.0, math.inf]),
+                           np.array([1e3, math.log(2.0), -math.inf]))
+    assert got.tolist() == [0.0, 2.0, math.inf]
 
 
 def test_result_rejects_negative_error_estimate():

@@ -1,6 +1,8 @@
 import cmath
+import inspect
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -8,64 +10,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import polygamma
 
-from spectral_zeros.core import (
-    PoleError, PoleHitSignal, TWO_PI, ZeroHitSignal, lattice_pole_index,
-)
+from spectral_zeros import product_forms, qnm, spectra, zeta
+from spectral_zeros.core import PoleError, TWO_PI, lattice_pole_index
 from spectral_zeros.product_forms import (
     DualitySpacing,
     FOUR_PI_SQ,
-    PairingStrategy,
-    ZeroEntry,
-    ZeroSet,
     duality_spacing,
-    general_weierstrass_eval,
-    oscillator_pole_set,
     pole_product_oscillator,
     pole_product_oscillator_naive,
-    zero_set_from_json,
-    zero_set_to_json,
 )
 from spectral_zeros.spectra import affine, closed_form_affine, closed_form_oscillator, oscillator, primon
-
-
-# ----------------------------------------------------------------- pole sets
-
-def test_oscillator_pole_set_unit_quantum():
-    ps = oscillator_pole_set(1.0, 1)
-    locs = sorted(e.location.imag for e in ps.entries)
-    assert locs == [-TWO_PI, 0.0, TWO_PI]
-    assert all(e.kind == "pole" and e.multiplicity == 1 for e in ps.entries)
-    assert ps.symmetry == "conjugate"
-
-
-def test_oscillator_pole_set_scales_inversely_with_quantum():
-    ps = oscillator_pole_set(2.0, 1)
-    locs = sorted(e.location.imag for e in ps.entries)
-    assert locs == [-math.pi, 0.0, math.pi]
-
-
-@given(st.floats(0.1, 10.0), st.integers(1, 30))
-@settings(max_examples=100)
-def test_pole_set_closed_under_conjugation(e0, count):
-    ps = oscillator_pole_set(e0, count)
-    locations = {e.location for e in ps.entries}
-    assert {z.conjugate() for z in locations} == locations
-
-
-def test_zero_set_rejects_duplicates_and_broken_symmetry():
-    with pytest.raises(ValueError):
-        ZeroSet((ZeroEntry(1j), ZeroEntry(1j)))
-    with pytest.raises(ValueError):
-        ZeroSet((ZeroEntry(1 + 1j),), symmetry="conjugate")
-    with pytest.raises(ValueError):
-        ZeroSet((ZeroEntry(1 + 1j, 1), ZeroEntry(1 - 1j, 2)), symmetry="conjugate")
-
-
-def test_zero_set_json_roundtrip_and_determinism():
-    ps = oscillator_pole_set(0.7, 3)
-    text = zero_set_to_json(ps)
-    assert zero_set_from_json(text) == ps
-    assert zero_set_to_json(zero_set_from_json(text)) == text
 
 
 # ------------------------------------------------------------- pole product
@@ -138,6 +92,12 @@ def test_pole_signal_on_the_lattice():
     assert exc.value.nearest == 1
     with pytest.raises(PoleError):
         pole_product_oscillator(0.0, 1.0)
+    # the lattice 2 pi i k / E0 scales inversely with the quantum
+    for k in (-2, 1, 3):
+        with pytest.raises(PoleError) as exc:
+            pole_product_oscillator(complex(0.0, math.pi * k), 2.0)
+        assert exc.value.nearest == k
+    assert pole_product_oscillator(complex(0.0, math.pi), 1.0).value != 0
 
 
 @pytest.mark.parametrize("beta_e0", [0.5, 1.0, 2.0, 5.0])
@@ -191,102 +151,34 @@ def test_pole_flags_do_not_depend_on_offset():
             assert exc.value.nearest == k
 
 
-# ------------------------------------------------------- weierstrass engine
+# --------------------------------------------------------- shared-code guard
 
-def test_empty_exponent_at_origin():
-    zs = ZeroSet((ZeroEntry(1j), ZeroEntry(-1j)), symmetry="conjugate")
-    r = general_weierstrass_eval(0.0, zs, 0, PairingStrategy.CONJUGATE_PAIRS)
-    assert r.value == 1.0
-
-
-def test_conjugate_pair_at_unit_distance():
-    zs = ZeroSet((ZeroEntry(1j), ZeroEntry(-1j)), symmetry="conjugate")
-    r = general_weierstrass_eval(1.0, zs, 0, PairingStrategy.CONJUGATE_PAIRS)
-    assert abs(r.value - 2.0) < 1e-15
+def _names(code: types.CodeType) -> set[str]:
+    """Global and attribute names a function's code refers to, nested
+    lambdas, comprehensions and generator expressions included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
 
 
-def test_matches_dedicated_pole_product():
-    ps = oscillator_pole_set(1.0, 1000)
-    g = general_weierstrass_eval(1.0, ps, 0, PairingStrategy.CONJUGATE_PAIRS)
-    p = pole_product_oscillator(1.0, 1.0, 1000, tail_correction=False)
-    assert abs(g.log_value - p.log_value) < 1e-10
+def _functions(module, prefixes=("",)):
+    return {name: fn for name, fn in inspect.getmembers(module, inspect.isfunction)
+            if fn.__module__ == module.__name__ and name.startswith(prefixes)}
 
 
-def test_zero_hit_and_pole_hit_signals():
-    zs = ZeroSet((ZeroEntry(0.5 + 0.5j, kind="zero"), ZeroEntry(2.0 + 0j, kind="pole")))
-    with pytest.raises(ZeroHitSignal) as exc:
-        general_weierstrass_eval(0.5 + 0.5j, zs)
-    assert exc.value.index == 0
-    with pytest.raises(PoleHitSignal) as exc:
-        general_weierstrass_eval(2.0 + 0j, zs)
-    assert exc.value.index == 1
+_ZEROS_SIDE = {**_functions(product_forms), **_functions(zeta, ("hadamard_product",)),
+               **_functions(qnm, ("conjectured_partition_log",))}
+_SPECTRUM_SIDE = {**_functions(spectra, ("closed_form_", "partition_direct", "energy_level"))}
 
 
-def test_genus_one_factor_includes_exponential():
-    a = 1.0 + 1.0j
-    zs = ZeroSet((ZeroEntry(a), ZeroEntry(a.conjugate())), symmetry="conjugate")
-    z = 0.5
-    want = ((1 - z / a) * cmath.exp(z / a)
-            * (1 - z / a.conjugate()) * cmath.exp(z / a.conjugate()))
-    r = general_weierstrass_eval(z, zs, 1, PairingStrategy.CONJUGATE_PAIRS)
-    assert abs(r.value - want) < 1e-14 * abs(want)
-
-
-def test_genus_one_rejects_entry_at_origin():
-    zs = ZeroSet((ZeroEntry(0j),))
-    with pytest.raises(ValueError):
-        general_weierstrass_eval(1.0, zs, genus=1)
-
-
-def test_monomial_entry_at_origin():
-    zs = ZeroSet((ZeroEntry(0j, multiplicity=2, kind="zero"),))
-    r = general_weierstrass_eval(3.0, zs, genus=0)
-    assert abs(r.value - 9.0) < 1e-14
-
-
-def test_pairing_requires_matching_symmetry():
-    zs = ZeroSet((ZeroEntry(1j), ZeroEntry(-1j)))  # symmetry tag left "none"
-    with pytest.raises(ValueError):
-        general_weierstrass_eval(1.0, zs, 0, PairingStrategy.CONJUGATE_PAIRS)
-    with pytest.raises(ValueError):
-        general_weierstrass_eval(1.0, zs, 0, PairingStrategy.REFLECTION_PAIRS)
-
-
-@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.2, 3.0)),
-                min_size=1, max_size=12),
-       st.floats(-2.0, 2.0))
-@settings(max_examples=150)
-def test_conjugate_pairing_real_on_real_axis(uppers, x):
-    entries = []
-    seen = set()
-    for re, im in uppers:
-        a = complex(re, im)
-        if a in seen:
-            continue
-        seen.update((a, a.conjugate()))
-        entries += [ZeroEntry(a), ZeroEntry(a.conjugate())]
-    zs = ZeroSet(tuple(entries), symmetry="conjugate")
-    r = general_weierstrass_eval(x, zs, 1, PairingStrategy.CONJUGATE_PAIRS)
-    assert abs(r.log_value.imag) < 1e-10
-
-
-@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.2, 3.0)),
-                min_size=1, max_size=10),
-       st.floats(-2.0, 2.0), st.integers(0, 1))
-@settings(max_examples=150)
-def test_pairing_cannot_change_the_value(uppers, x, genus):
-    # pairing reorders/regroups an absolutely convergent finite product;
-    # the value (not the accumulated log branch) must be unchanged
-    entries = []
-    seen = set()
-    for re, im in uppers:
-        a = complex(re, im)
-        if a in seen:
-            continue
-        seen.update((a, a.conjugate()))
-        entries += [ZeroEntry(a), ZeroEntry(a.conjugate())]
-    zs = ZeroSet(tuple(entries), symmetry="conjugate")
-    paired = general_weierstrass_eval(x, zs, genus, PairingStrategy.CONJUGATE_PAIRS)
-    flat = general_weierstrass_eval(x, zs, genus, PairingStrategy.UNPAIRED)
-    scale = max(1.0, abs(paired.value))
-    assert abs(paired.value - flat.value) < 1e-9 * scale
+@pytest.mark.parametrize("side, other", [(_ZEROS_SIDE, _SPECTRUM_SIDE),
+                                         (_SPECTRUM_SIDE, _ZEROS_SIDE)],
+                         ids=["zeros_side", "spectrum_side"])
+def test_routes_share_no_evaluation_code(side, other):
+    # the duality is only evidence while neither route calls the other's
+    # evaluators: no closed form or level sum inside a product, and back
+    assert "pole_product_oscillator" in _ZEROS_SIDE and "closed_form_oscillator" in _SPECTRUM_SIDE
+    for name, fn in side.items():
+        assert not _names(fn.__code__) & other.keys(), name

@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_zeros.core import PoleError, TWO_PI, ZeroHitSignal
-from spectral_zeros.product_forms import (
-    PairingStrategy,
-    ZeroEntry,
-    ZeroSet,
-    pole_product_oscillator,
-)
+from spectral_zeros.core import EXP_UNDERFLOW, PoleError, TWO_PI, ZeroHitSignal
+from spectral_zeros.product_forms import pole_product_oscillator
 from spectral_zeros.qnm import (
     InsufficientModesError,
     QNMSpectrum,
@@ -138,15 +133,9 @@ def test_conjectured_real_on_real_axis(x):
     assert abs(r.log_value.imag) < 1e-10
 
 
-def test_reflection_pairing_requires_symmetry():
-    spec = QNMSpectrum(modes=(1.0 - 1.0j,), temperature=1.0)
-    with pytest.raises(ValueError):
-        conjectured_partition_log(0.5, spec, PairingStrategy.REFLECTION_PAIRS)
-
-
 def test_near_mirror_modes_are_snapped():
-    # closure within 1e-12 is legal on the spectrum; the product engine
-    # demands exact closure, so the conversion snaps the partner
+    # closure within 1e-12 is legal on the spectrum; pairing needs exact
+    # mirrors, so construction snaps the partner
     eps = 1e-13
     spec = QNMSpectrum(modes=(1.0 - 1.0j, complex(-1.0 + eps, -1.0)),
                        temperature=1.0, symmetry="reflection")
@@ -188,11 +177,11 @@ def test_structural_echo_of_the_oscillator_lattice():
     assert abs(lhs - rhs) < 1e-10
 
 
-# Reference: the closure snap and the engine's per-call partner lookup as
-# they ran on every conjectured_partition_log call before the spectrum
-# built its ZeroSet once.  The product must come out bit for bit the same.
+# Oracle: the closure snap, written out on its own, and mpmath (dps 30)
+# summing the principal log of each group's product, a mode with its
+# mirror under reflection symmetry, else a mode alone.
 
-def _reference_mode_zero_set(spec: QNMSpectrum) -> ZeroSet:
+def _reference_snap(spec: QNMSpectrum) -> list[complex]:
     locations = list(spec.modes)
     if spec.symmetry == "reflection":
         exact = set(locations)
@@ -206,53 +195,43 @@ def _reference_mode_zero_set(spec: QNMSpectrum) -> ZeroSet:
                     locations[j] = mirror
                     exact.add(mirror)
                     break
-    entries = tuple(ZeroEntry(z, 1, "zero") for z in locations)
-    return ZeroSet(entries,
-                   symmetry="reflection" if spec.symmetry == "reflection" else "none")
+            else:
+                locations[i] = complex(0.0, z.imag)
+    return locations
 
 
-def _reference_engine(z: complex, zeros: ZeroSet,
-                      pairing: PairingStrategy) -> tuple[complex, int]:
-    """Genus-0 product over zeros, partners looked up per call; returns the
-    log and the number of entries consumed."""
-    index_of = zeros._index_of
-    hit = index_of.get(z)
-    if hit is not None:
-        raise ZeroHitSignal("hit", index=hit, location=z)
-    if pairing is PairingStrategy.REFLECTION_PAIRS:
-        partner_of = lambda a: -a.conjugate()
-    else:
-        partner_of = None
-    total = 0j
-    used = 0
-    consumed = [False] * len(zeros.entries)
-    for i in zeros._order:
-        if consumed[i]:
+def _mp_conjectured(z: complex, spec: QNMSpectrum) -> tuple[complex, bool]:
+    """log Z = -S_E + sum over groups of log prod (1 - z/z*), and whether a
+    group's product lies within 1e-12 (relative) of the negative real axis,
+    where rounding decides its principal argument (+-pi); raises
+    ZeroHitSignal, with the mode's index, when z is a mode."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    modes = _reference_snap(spec)
+    if z in modes:
+        raise ZeroHitSignal("hit", index=modes.index(z))
+    zz, total, done, on_cut = mpmath.mpc(z), mpmath.mpf(0), set(), False
+    for i, a in enumerate(modes):
+        if i in done:
             continue
-        consumed[i] = True
-        used += 1
-        a = zeros.entries[i].location
-        f = 1.0 - z / a
-        partner = partner_of(a) if partner_of is not None else None
-        if partner is not None and partner != a:
-            j = index_of.get(partner)
-            if j is not None and not consumed[j]:
-                consumed[j] = True
-                used += 1
-                f *= 1.0 - z / partner
-        if f == 0:
-            raise ZeroHitSignal("vanished", index=i, location=z)
-        total += cmath.log(f)
-    return total, used
+        group = [a]
+        if spec.symmetry == "reflection" and -a.conjugate() != a:
+            group.append(-a.conjugate())
+            done.add(modes.index(-a.conjugate()))
+        p = mpmath.fprod(1 - zz / mpmath.mpc(w) for w in group)
+        on_cut |= p.real < 0 and abs(p.imag) <= 1e-12 * abs(p)
+        total += mpmath.log(p)
+    total -= spec.euclidean_action
+    return complex(float(total.real), float(total.imag)), on_cut
 
 
-def _reference_conjectured(z: complex, spec: QNMSpectrum, pairing) -> tuple[complex, int]:
-    if pairing is None:
-        pairing = (PairingStrategy.REFLECTION_PAIRS
-                   if spec.symmetry == "reflection" else PairingStrategy.UNPAIRED)
-    zeros = _reference_mode_zero_set(spec)
-    total, used = _reference_engine(complex(z), zeros, pairing)
-    return total - spec.euclidean_action, used
+def _assert_log_matches(got: complex, want: complex, z, on_cut: bool = False):
+    """log|Z| and arg within 1e-13 max(1, |log Z|); arg mod 2 pi where a
+    group sits on the cut of the principal log, else branch included."""
+    tol = 1e-13 * max(1.0, abs(want))
+    d_arg = got.imag - want.imag
+    assert abs(got.real - want.real) <= tol, (z, got, want)
+    assert abs(math.remainder(d_arg, TWO_PI) if on_cut else d_arg) <= tol, (z, got, want)
 
 
 @st.composite
@@ -279,46 +258,65 @@ def reflection_spectra(draw):
                        symmetry="reflection")
 
 
-@given(reflection_spectra(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_conjectured_matches_per_call_reference(spec, data):
-    z = data.draw(st.one_of(
-        st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),
-        st.sampled_from(spec.modes)))
-    pairing = data.draw(st.sampled_from((None, PairingStrategy.UNPAIRED)))
-    try:
-        want, want_used = _reference_conjectured(z, spec, pairing)
-    except ZeroHitSignal as e:
-        with pytest.raises(ZeroHitSignal) as exc:
-            conjectured_partition_log(z, spec, pairing)
-        assert exc.value.index == e.index
-        return
-    got = conjectured_partition_log(z, spec, pairing)
-    assert repr(got.log_value) == repr(want)  # bit for bit, signed zeros included
-    assert got.terms_used == want_used
-
+_MIRRORED = QNMSpectrum(modes=(0.5 - 1j, -0.5 - 1j, 0.25j, 1.0 + 0.5j, -1.0 + 0.5j),
+                        temperature=1.0, euclidean_action=0.5, symmetry="reflection")
 
 
 @given(reflection_spectra(), st.booleans(), st.data())
-@settings(max_examples=150, deadline=None)
-def test_conjectured_array_matches_the_scalar(spec, reflection, data):
-    # reflection pairs, or the same modes unpaired; points on modes and off
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_conjectured_matches_per_call_reference(spec, reflection, data):
+    # reflection pairs, or the same modes unpaired; on modes and off them
+    if not reflection:
+        spec = dataclasses.replace(spec, symmetry="none")
+    z = data.draw(st.one_of(
+        st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),
+        st.sampled_from(spec.modes)))
+    try:
+        want, on_cut = _mp_conjectured(z, spec)
+    except ZeroHitSignal as e:
+        with pytest.raises(ZeroHitSignal) as exc:
+            conjectured_partition_log(z, spec)
+        assert exc.value.index == e.index
+        return
+    got = conjectured_partition_log(z, spec)
+    _assert_log_matches(got.log_value, want, z, on_cut)
+    assert got.terms_used == len(spec.modes) and got.error_estimate == 0.0
+
+
+@pytest.mark.parametrize("reflection", [True, False], ids=["paired", "unpaired"])
+def test_conjectured_mode_hits_name_the_mode(reflection):
+    spec = _MIRRORED if reflection else dataclasses.replace(_MIRRORED, symmetry="none")
+    for i, mode in enumerate(spec.modes):
+        with pytest.raises(ZeroHitSignal) as exc:
+            _mp_conjectured(mode, spec)
+        assert exc.value.index == i
+        with pytest.raises(ZeroHitSignal) as exc:
+            conjectured_partition_log(mode, spec)
+        assert exc.value.index == i
+    _, flags, _, _ = conjectured_partition_log_array(np.array(spec.modes + (2j,)), spec)
+    assert flags.tolist() == ["zero"] * len(spec.modes) + [""]
+
+
+@given(reflection_spectra(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_conjectured_array_matches_mpmath(spec, reflection, data):
+    # several nodes in one kernel call: flags, and the log of each node
     if not reflection:
         spec = dataclasses.replace(spec, symmetry="none")
     points = data.draw(st.lists(st.one_of(
         st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),
         st.sampled_from(spec.modes)), min_size=1, max_size=12))
-    log_z, flags = conjectured_partition_log_array(np.array(points, dtype=complex), spec)
+    log_z, flags, err, terms = conjectured_partition_log_array(
+        np.array(points, dtype=complex), spec)
+    assert err.tolist() == [0.0] * len(points) and terms.tolist() == [len(spec.modes)] * len(points)
     for z, lz, flag in zip(points, log_z.tolist(), flags.tolist()):
         try:
-            want = conjectured_partition_log(z, spec).log_value
+            want, on_cut = _mp_conjectured(z, spec)
         except ZeroHitSignal:
             assert flag == "zero", z
             continue
-        assert flag == "", z
-        tol = 1e-13 * max(1.0, abs(want.real))
-        assert abs(lz.real - want.real) <= tol, (z, lz, want)
-        assert abs(math.remainder(lz.imag - want.imag, TWO_PI)) <= tol, (z, lz, want)
+        assert flag == ("zero" if want.real < EXP_UNDERFLOW else ""), z
+        _assert_log_matches(lz, want, z, on_cut)
 
 
 def test_conjectured_array_flags_a_vanishing_pair():
@@ -328,7 +326,7 @@ def test_conjectured_array_flags_a_vanishing_pair():
                        symmetry="reflection")
     with pytest.raises(ZeroHitSignal):
         conjectured_partition_log(1j, spec)
-    _, flags = conjectured_partition_log_array(np.array([1j, 2j]), spec)
+    _, flags, _, _ = conjectured_partition_log_array(np.array([1j, 2j]), spec)
     assert flags.tolist() == ["zero", ""]
 
 

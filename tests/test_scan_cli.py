@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from spectral_zeros import scan_cli
 from spectral_zeros.core import (
+    EXP_UNDERFLOW,
     TWO_PI,
     EvaluationResult,
     PoleError,
@@ -146,13 +147,13 @@ def _contract_node(fn, z):
     return min(max(la, -LOG_CLAMP), LOG_CLAMP), math.remainder(ph, TWO_PI), ""
 
 
-def _assert_node_matches(got, want, z):
-    """Same flag; log|Z| and arg (mod 2 pi) within 1e-13 max(1, |log|Z||);
-    arg principal."""
+def _assert_node_matches(got, want, z, scale=None):
+    """Same flag; log|Z| and arg (mod 2 pi) within 1e-13 max(1, scale),
+    scale |log|Z|| unless given; arg principal."""
     (la, ph, flag), (want_la, want_ph, want_flag) = got, want
     assert flag == want_flag, (z, got, want)
     assert -math.pi <= ph <= math.pi, (z, got)
-    tol = 1e-13 * max(1.0, abs(want_la))
+    tol = 1e-13 * max(1.0, abs(want_la) if scale is None else scale)
     assert abs(la - want_la) <= tol, (z, got, want)
     assert abs(math.remainder(ph - want_ph, TWO_PI)) <= tol, (z, got, want)
 
@@ -243,7 +244,7 @@ def test_scan_determinism():
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
-# ------------------------------------------------ array route vs scalar route
+# ---------------------------------------------------------- gate grids
 
 @st.composite
 def _dyadic_grid(draw, bound):
@@ -260,32 +261,115 @@ def _dyadic_grid(draw, bound):
     return (re_min, re_max, im_min, im_max), (cols, rows)
 
 
-_GATE = settings(max_examples=40, deadline=None)
+# ----------------------------------------------------- array route vs mpmath
+#
+# Each product's scan is checked against mpmath (dps 30) evaluating the same
+# truncated product: the same factor count, zeros and tail term.  An oracle
+# maps a node to its flag and, unflagged, its log Z: "pole" within 1e-12 of a
+# pole, "zero" on a zero or where |Z| underflows, as the scan contract says.
+# On a pole or zero hit it names the signal the scalar function must raise
+# there, (exception, attribute, value), or None where the scalar returns 0.
+
+_ORACLE_GATE = settings(max_examples=40, deadline=None, derandomize=True)
+_TINY_LOG = math.log(sys.float_info.min)
 
 
-@_GATE
+def _mp():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    return mpmath
+
+
+def _mp_flag(mpmath, log_z, floor):
+    """The oracle's node for a finite mpmath log: "zero" below floor."""
+    if log_z.real < floor:
+        return "zero", None
+    return "", complex(float(log_z.real), float(log_z.imag))
+
+
+def _lattice_pole(mpmath, x):
+    """The signal of a pole 2 pi i k within 1e-12 of x, else None."""
+    k = int(mpmath.nint(x.imag / (2 * mpmath.pi)))
+    return (PoleError, "nearest", k) if abs(x - 2j * mpmath.pi * k) < 1e-12 else None
+
+
+def _assert_scan_matches_oracle(evaluator, region, resolution, params, oracle, scalar):
+    """Same flag as the oracle at every node, and the scalar's signal on a
+    hit; unflagged, log|Z| (clamped to +-745) and arg (mod 2 pi) within
+    1e-13 max(1, |log Z|)."""
+    scan = grid_scan(evaluator, region, resolution, params)
+    re_axis, im_axis = scan.axes()
+    cols, _ = resolution
+    for idx in range(scan.log_abs.size):
+        row, col = divmod(idx, cols)
+        z = complex(re_axis[col], im_axis[row])
+        got = (float(scan.log_abs[idx]), float(scan.arg[idx]), str(scan.flags[idx]))
+        flag, want = oracle(z)
+        assert got[2] == flag, (z, got, flag, want)
+        if flag and want is not None:
+            exc, attr, value = want
+            with pytest.raises(exc) as info:
+                scalar(z)
+            assert getattr(info.value, attr) == value, (z, want)
+        if flag:
+            continue
+        want = complex(want.real, math.remainder(want.imag, TWO_PI))
+        _assert_node_matches(got, (min(max(want.real, -LOG_CLAMP), LOG_CLAMP), want.imag, ""),
+                             z, scale=abs(want))
+    return scan
+
+
+def _mp_closed_form(z, e0):
+    """log of 1/(2 sinh(x/2)), x = beta E0; "zero" below the normal range."""
+    mpmath = _mp()
+    x = mpmath.mpc(z) * e0
+    if pole := _lattice_pole(mpmath, x):
+        return "pole", pole
+    return _mp_flag(mpmath, -mpmath.log(2 * mpmath.sinh(x / 2)), _TINY_LOG)
+
+
+def _mp_pole_product(z, e0, n_factors):
+    """-log x - sum_{n<=N} log(1 + a^2/n^2) - a^2 psi'(N+1), a = x/2 pi; the
+    finite product is Gamma(N+1+ia) Gamma(N+1-ia) / (Gamma(1+ia) Gamma(1-ia) N!^2)."""
+    mpmath = _mp()
+    x = mpmath.mpc(z) * e0
+    if pole := _lattice_pole(mpmath, x):
+        return "pole", pole
+    a, n = x / (2 * mpmath.pi), n_factors
+    log_prod = (mpmath.loggamma(n + 1 + 1j * a) + mpmath.loggamma(n + 1 - 1j * a)
+                - mpmath.loggamma(1 + 1j * a) - mpmath.loggamma(1 - 1j * a)
+                - 2 * mpmath.loggamma(n + 1))
+    log_z = -mpmath.log(x) - log_prod - a * a * mpmath.psi(1, n + 1)
+    return _mp_flag(mpmath, log_z, EXP_UNDERFLOW)
+
+
+@_ORACLE_GATE
 @given(grid=_dyadic_grid(8.0), e0=st.sampled_from([1.0, TWO_PI]))
 @example(grid=((-0.5, 0.5, -2.0, 2.0), (5, 9)), e0=TWO_PI)           # lattice i k, k = -2..2
 @example(grid=((1400.0, 1440.0, -1.0, 1.0), (6, 3)), e0=1.0)         # value underflows to 0
 @example(grid=((-1440.0, -1400.0, 1e6, 1e6 + 8.0), (6, 3)), e0=1.0)
-def test_closed_form_scan_matches_scalar(grid, e0):
-    _assert_scan_matches_scalar("oscillator_closed", *grid, {"e0": e0},
+def test_closed_form_scan_matches_mpmath(grid, e0):
+    _assert_scan_matches_oracle("oscillator_closed", *grid, {"e0": e0},
+                                lambda z: _mp_closed_form(z, e0),
                                 lambda z: closed_form_oscillator(z, e0))
 
 
-@_GATE
+@_ORACLE_GATE
 @given(grid=_dyadic_grid(8.0), n_factors=st.sampled_from([8, 1000]))
 @example(grid=((-0.5, 0.5, 0.0, 3.0), (5, 7)), n_factors=1000)       # lattice i k, k = 0..3
 @example(grid=((224.0, 240.0, -1.0, 1.0), (5, 3)), n_factors=1000)   # log|Z| from -704 to -754
 @example(grid=((0.0, 1.0, 1000.0, 1008.0), (3, 3)), n_factors=8)     # log|Z| > 745
-def test_pole_product_scan_matches_scalar(grid, n_factors):
+def test_pole_product_scan_matches_mpmath(grid, n_factors):
     e0 = TWO_PI if n_factors == 1000 else 1.0
-    _assert_scan_matches_scalar(
-        "oscillator_product", *grid, {"e0": e0, "n_factors": n_factors},
-        lambda z: pole_product_oscillator(z, e0, n_factors=n_factors))
+    _assert_scan_matches_oracle("oscillator_product", *grid, {"e0": e0, "n_factors": n_factors},
+                                lambda z: _mp_pole_product(z, e0, n_factors),
+                                lambda z: pole_product_oscillator(z, e0, n_factors))
 
 
-@_GATE
+# zeta_em_array calls zeta_em once per node, so its scan is checked
+# against the scalar route
+
+@settings(max_examples=40, deadline=None)
 @given(grid=_dyadic_grid(32.0), cutoff=st.sampled_from([None, 60]))
 @example(grid=((-8.0, -4.0, -16.0, 16.0), (5, 5)), cutoff=None)      # Re s < -5
 @example(grid=((-8.0, -4.0, -16.0, 16.0), (5, 5)), cutoff=60)
@@ -317,17 +401,44 @@ _ZEROS = find_zeros(100)
 _GAMMA_2 = _ZEROS.ordinates[1]
 
 
-@_GATE
+def _mp_hadamard(z, zero_count):
+    """(gamma_E + ln pi) b/2 - ln 2 - log(b - 1) + log prod_k (1 + q/(1/4 + g_k^2))
+    + sum_{n<=200} (log(1 + b/2n) - b/2n) - b^2 psi'(201)/8, q = b^2 - b, with
+    prod_n (1 + b/2n) = Gamma(201 + b/2) / (Gamma(1 + b/2) 200!)."""
+    mpmath = _mp()
+    b, m = mpmath.mpc(z), 200
+    gammas = [mpmath.mpf(g) for g in _ZEROS.ordinates[:zero_count]]
+    if abs(b - 1) < 1e-12:
+        return "pole", (PoleError, "nearest", 1)
+    hits = [k for k, g in enumerate(gammas)
+            if any(abs(b - mpmath.mpc(0.5, s * g)) < 1e-12 for s in (1, -1))]
+    if hits:
+        return "zero", (ZeroHitSignal, "index", hits[0])
+    if b.imag == 0 and b.real < 0 and b.real % 2 == 0 and b.real >= -2 * m:
+        return "zero", None                              # a trivial zero -2n, n <= 200
+    q = b * b - b
+    log_z = ((mpmath.euler + mpmath.log(mpmath.pi)) * b / 2 - mpmath.log(2) - mpmath.log(b - 1)
+             + mpmath.log(mpmath.fprod(1 + q / (0.25 + g * g) for g in gammas))
+             + mpmath.loggamma(m + 1 + b / 2) - mpmath.loggamma(1 + b / 2)
+             - mpmath.loggamma(m + 1) - b / 2 * mpmath.harmonic(m)
+             - b * b / 8 * mpmath.psi(1, m + 1))
+    return _mp_flag(mpmath, log_z, EXP_UNDERFLOW)
+
+
+@_ORACLE_GATE
 @given(grid=_dyadic_grid(32.0), zero_count=st.sampled_from([0, 7, 100]))
 @example(grid=((-2.5, 1.5, -_GAMMA_2, _GAMMA_2), (65, 3)), zero_count=100)  # 1, -2, 1/2 +- i g_2
+@example(grid=((-400.0, -2.0, 0.0, 1.0), (200, 2)), zero_count=7)        # trivial zeros -2n
 @example(grid=((-1024.0, -512.0, 64.0, 128.0), (3, 3)), zero_count=100)    # log|Z| > 745
 @example(grid=((512.0, 1024.0, -64.0, 64.0), (3, 3)), zero_count=100)      # log|Z| < -745
-def test_hadamard_scan_matches_scalar(grid, zero_count):
-    scan = _assert_scan_matches_scalar(
+def test_hadamard_scan_matches_mpmath(grid, zero_count):
+    scan = _assert_scan_matches_oracle(
         "zeta_hadamard", *grid, {"zeros": _ZEROS, "zero_count": zero_count},
-        lambda z: hadamard_product(z, _ZEROS, zero_count))
+        lambda z: _mp_hadamard(z, zero_count), lambda z: hadamard_product(z, _ZEROS, zero_count))
     if grid[0][3] == _GAMMA_2:
         assert scan.flag_count("pole") == 1 and scan.flag_count("zero") == 3
+    if grid[0][:2] == (-400.0, -2.0):
+        assert scan.flag_count("zero") == 200                 # -2n for n = 1..200
 
 
 @st.composite
@@ -353,6 +464,16 @@ def _qnm_case(draw):
     return spec, (region, resolution)
 
 
+def _mp_qnm(z, spec):
+    """-S_E + log prod_{z*} (1 - z/z*); "zero" on a mode."""
+    mpmath = _mp()
+    if z in spec.modes:
+        return "zero", (ZeroHitSignal, "index", spec.modes.index(z))
+    log_z = (mpmath.log(mpmath.fprod(1 - mpmath.mpc(z) / mpmath.mpc(a) for a in spec.modes))
+             - spec.euclidean_action)
+    return _mp_flag(mpmath, log_z, EXP_UNDERFLOW)
+
+
 _PAIRED = QNMSpectrum(modes=(0.5 - 1j, -0.5 - 1j, 0.25j, 1.0 + 0.5j, -1.0 + 0.5j),
                       temperature=1.0, euclidean_action=0.5, symmetry="reflection")
 _UNPAIRED = QNMSpectrum(modes=(0.5 - 1j, -0.25 - 0.5j, 0.75 + 0.5j), temperature=1.0)
@@ -360,16 +481,16 @@ _HEAVY = QNMSpectrum(modes=(0.5 - 1j, -0.5 - 1j), temperature=1.0, euclidean_act
                      symmetry="reflection")
 
 
-@_GATE
+@_ORACLE_GATE
 @given(case=_qnm_case())
 @example(case=(_PAIRED, ((-1.0, 1.0, -1.0, 1.0), (9, 9))))         # every mode on a node
 @example(case=(_UNPAIRED, ((-1.0, 1.0, -1.0, 1.0), (9, 9))))
 @example(case=(_UNPAIRED, ((2.0 ** 400, 2.0 ** 401, -1.0, 1.0), (3, 3))))  # log|Z| > 745
 @example(case=(_HEAVY, ((-1.0, 1.0, -1.0, 1.0), (3, 3))))          # log|Z| < -745
-@example(case=(_PAIRED, ((2.0 ** 1022, 2.0 ** 1023, -1.0, 1.0), (2, 3))))  # z/a overflows
-def test_qnm_scan_matches_scalar(case):
+def test_qnm_scan_matches_mpmath(case):
     spec, grid = case
-    _assert_scan_matches_scalar("qnm_conjectured", *grid, {"spectrum": spec},
+    _assert_scan_matches_oracle("qnm_conjectured", *grid, {"spectrum": spec},
+                                lambda z: _mp_qnm(z, spec),
                                 lambda z: conjectured_partition_log(z, spec))
 
 
@@ -576,6 +697,24 @@ def test_cli_closed_form_far_field_answers(capsys, argv):
         assert "flags: 0 pole, 12 zero" in out   # Re beta = 1400 is still representable
     else:
         assert "closed_form   0j" in out.replace("0+0j", "0j")
+
+
+@pytest.mark.parametrize("argv, evaluate", [
+    (["oscillator", "--beta", "1e78"], lambda: pole_product_oscillator(1e78, 1.0)),
+    (["oscillator", "--beta", "1e200"], lambda: pole_product_oscillator(1e200, 1.0)),
+    (None, lambda: hadamard_product(1e150, find_zeros(10), 10)),
+], ids=["oscillator_1e78", "oscillator_1e200", "hadamard_1e150"])
+def test_error_estimates_survive_an_underflowing_value(capsys, argv, evaluate):
+    # the estimates |Z| * err overflowed in err (|c|^2, |beta|^3) and raised
+    # OverflowError; formed as 0 * inf they would be NaN, which
+    # EvaluationResult rejects
+    if argv is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_dispatch(argv) == 0
+        assert "nan" not in capsys.readouterr().out
+    r = evaluate()
+    assert r.value == 0 and r.error_estimate == 0.0
 
 
 def test_cli_scan_formats_are_deterministic(tmp_path):

@@ -2,16 +2,16 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_zeros.core import DivergenceDomainError, PoleError
 from spectral_zeros.spectra import (
     affine,
+    closed_form_affine,
     closed_form_oscillator,
     energy_level,
     explicit,
-    load_spectrum_file,
     oscillator,
     partition_direct,
     primon,
@@ -182,25 +182,39 @@ def test_closed_form_pole_signal_carries_index():
     assert exc.value.nearest == -1
 
 
-# ------------------------------------------------------------------ file io
+# ------------------------------------------------------------ affine closed form
 
-def test_load_spectrum_file_roundtrip(tmp_path):
-    p = tmp_path / "levels.txt"
-    p.write_text("# synthetic levels\n0.5\n1.5  # first excited\n\n2.5\n")
-    spec = load_spectrum_file(p)
-    assert spec.kind == "explicit"
-    assert spec.levels == (0.5, 1.5, 2.5)
+def _mp_affine(mpmath, beta, offset, gap):
+    b = mpmath.mpc(beta)
+    return mpmath.exp(-b * offset) / (1 - mpmath.exp(-b * gap))
 
 
-def test_load_spectrum_file_rejects_disorder(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("1.0\n0.5\n")
-    with pytest.raises(ValueError):
-        load_spectrum_file(p)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-800.0, 800.0), st.floats(-50.0, 50.0), st.floats(0.15, 0.85),
+       st.sampled_from([0.5, 1.0, 2.0]))
+@example(-800.0, 0.0, 0.5, 1.0)           # overflowed in exp(-beta*gap); the value is -1.9e-174
+@example(800.0, 3.0, 0.5, 1.0)
+def test_closed_form_affine_agrees_with_mpmath(re, im, offset_fraction, gap):
+    # offsets between 0.15 and 0.85 gaps keep |Z| in the normal range over
+    # the whole strip, so the comparison is relative everywhere
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    beta, offset = complex(re, im) / gap, offset_fraction * gap
+    try:
+        got = closed_form_affine(beta, offset, gap)
+    except PoleError:
+        return
+    want = _mp_affine(mpmath, beta, offset, gap)
+    assert abs(mpmath.mpc(got) - want) <= 1e-13 * abs(want)
 
 
-def test_load_spectrum_file_rejects_garbage(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("1.0\nnot-a-number\n")
-    with pytest.raises(ValueError, match="bad.txt:2"):
-        load_spectrum_file(p)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-3, 3), st.floats(-11.0, -1.0), st.floats(0.0, 2.0 * math.pi),
+       st.sampled_from([0.0, 0.3, 1.7]), st.sampled_from([0.5, 1.0, 2.0]))
+def test_closed_form_affine_near_the_poles_agrees_with_mpmath(k, log10_eps, phase, offset, gap):
+    # beta * gap is exact for these gaps, so the pole sits where mpmath puts it
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    beta = (complex(0.0, 2.0 * math.pi * k) + 10.0 ** log10_eps * cmath.exp(1j * phase)) / gap
+    want = _mp_affine(mpmath, beta, offset, gap)
+    assert abs(mpmath.mpc(closed_form_affine(beta, offset, gap)) - want) <= 1e-13 * abs(want)
