@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import inspect
 import math
 import random
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import polygamma
 
 from spectral_zeros import product_forms, qnm, spectra, zeta
-from spectral_zeros.core import PoleError, TWO_PI, lattice_pole_index
+from spectral_zeros.core import PoleError, TWO_PI, ZeroHitSignal, lattice_pole_index
 from spectral_zeros.product_forms import (
     DualitySpacing,
     FOUR_PI_SQ,
@@ -98,6 +99,50 @@ def test_pole_signal_on_the_lattice():
             pole_product_oscillator(complex(0.0, math.pi * k), 2.0)
         assert exc.value.nearest == k
     assert pole_product_oscillator(complex(0.0, math.pi), 1.0).value != 0
+
+
+def test_zero_hit_and_pole_hit_signals():
+    # a zero hit names the zero it hit, a pole hit the lattice point
+    spec = qnm.QNMSpectrum(modes=(0.5 - 0.5j, -0.5 - 0.5j, 2.0 - 1.0j), temperature=1.0)
+    with pytest.raises(ZeroHitSignal) as exc:
+        qnm.conjectured_partition_log(2.0 - 1.0j, spec)
+    assert exc.value.index == 2
+    zeros = zeta.find_zeros(3)
+    with pytest.raises(ZeroHitSignal) as exc:
+        zeta.hadamard_product(complex(0.5, -zeros.ordinates[1]), zeros, 3)
+    assert exc.value.index == 1
+    with pytest.raises(PoleError) as exc:
+        pole_product_oscillator(complex(0.0, -2 * TWO_PI), 1.0)
+    assert exc.value.nearest == -2
+
+
+@given(st.floats(-4.0, 4.0), st.floats(0.1, 10.0))
+@settings(max_examples=150)
+def test_conjugate_pairing_real_on_real_axis(x, e0):
+    # the poles +-2 pi i k / E0 enter as conjugate pairs, one real factor
+    # 1 + (x / 2 pi k)^2 each, so Z is real on the real axis
+    assume(abs(x) >= 1e-3)
+    r = pole_product_oscillator(x, e0, 100)
+    assert abs(r.value.imag) <= 1e-15 * abs(r.value)
+
+
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, -0.2)),
+                min_size=1, max_size=10),
+       st.floats(-2.0, 2.0))
+@settings(max_examples=150)
+def test_pairing_cannot_change_the_value(lowers, x):
+    # reflection pairing regroups a finite product; the value (not the
+    # branch of its log) must not change
+    modes = []
+    for re, im in lowers:
+        for a in (complex(re, im), complex(-re, im)):
+            if a not in modes:
+                modes.append(a)
+    paired = qnm.QNMSpectrum(modes=tuple(modes), temperature=1.0, symmetry="reflection")
+    flat = dataclasses.replace(paired, symmetry="none")
+    p = qnm.conjectured_partition_log(x, paired).value
+    f = qnm.conjectured_partition_log(x, flat).value
+    assert abs(p - f) < 1e-9 * max(1.0, abs(p))
 
 
 @pytest.mark.parametrize("beta_e0", [0.5, 1.0, 2.0, 5.0])

@@ -133,6 +133,16 @@ def test_conjectured_real_on_real_axis(x):
     assert abs(r.log_value.imag) < 1e-10
 
 
+def test_reflection_pairing_requires_symmetry():
+    # pairing follows the declared symmetry: reflection needs the mirror of
+    # every mode, and a spectrum declared without it multiplies single factors
+    with pytest.raises(ValueError):
+        QNMSpectrum(modes=(1.0 - 1.0j,), temperature=1.0, symmetry="reflection")
+    spec = QNMSpectrum(modes=(1.0 - 1.0j,), temperature=1.0)
+    r = conjectured_partition_log(0.5, spec)
+    assert abs(r.log_value - cmath.log(1 - 0.5 / (1.0 - 1.0j))) < 1e-15
+
+
 def test_near_mirror_modes_are_snapped():
     # closure within 1e-12 is legal on the spectrum; pairing needs exact
     # mirrors, so construction snaps the partner
@@ -299,8 +309,9 @@ def test_conjectured_mode_hits_name_the_mode(reflection):
 
 @given(reflection_spectra(), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_conjectured_array_matches_mpmath(spec, reflection, data):
-    # several nodes in one kernel call: flags, and the log of each node
+def test_conjectured_array_matches_the_scalar(spec, reflection, data):
+    # several nodes in one kernel call, and the scalar at each node: flags
+    # and signals, and the log of each node against the oracle
     if not reflection:
         spec = dataclasses.replace(spec, symmetry="none")
     points = data.draw(st.lists(st.one_of(
@@ -312,11 +323,15 @@ def test_conjectured_array_matches_mpmath(spec, reflection, data):
     for z, lz, flag in zip(points, log_z.tolist(), flags.tolist()):
         try:
             want, on_cut = _mp_conjectured(z, spec)
-        except ZeroHitSignal:
+        except ZeroHitSignal as e:
             assert flag == "zero", z
+            with pytest.raises(ZeroHitSignal) as exc:
+                conjectured_partition_log(z, spec)
+            assert exc.value.index == e.index
             continue
         assert flag == ("zero" if want.real < EXP_UNDERFLOW else ""), z
         _assert_log_matches(lz, want, z, on_cut)
+        _assert_log_matches(conjectured_partition_log(z, spec).log_value, want, z, on_cut)
 
 
 def test_conjectured_array_flags_a_vanishing_pair():

@@ -295,8 +295,8 @@ def _lattice_pole(mpmath, x):
 
 def _assert_scan_matches_oracle(evaluator, region, resolution, params, oracle, scalar):
     """Same flag as the oracle at every node, and the scalar's signal on a
-    hit; unflagged, log|Z| (clamped to +-745) and arg (mod 2 pi) within
-    1e-13 max(1, |log Z|)."""
+    hit; unflagged, log|Z| (clamped to +-745) and arg (mod 2 pi) of the
+    scan and of the scalar within 1e-13 max(1, |log Z|) of the oracle."""
     scan = grid_scan(evaluator, region, resolution, params)
     re_axis, im_axis = scan.axes()
     cols, _ = resolution
@@ -314,8 +314,9 @@ def _assert_scan_matches_oracle(evaluator, region, resolution, params, oracle, s
         if flag:
             continue
         want = complex(want.real, math.remainder(want.imag, TWO_PI))
-        _assert_node_matches(got, (min(max(want.real, -LOG_CLAMP), LOG_CLAMP), want.imag, ""),
-                             z, scale=abs(want))
+        want_node = (min(max(want.real, -LOG_CLAMP), LOG_CLAMP), want.imag, "")
+        _assert_node_matches(got, want_node, z, scale=abs(want))
+        _assert_node_matches(_contract_node(scalar, z), want_node, z, scale=abs(want))
     return scan
 
 
@@ -348,7 +349,7 @@ def _mp_pole_product(z, e0, n_factors):
 @example(grid=((-0.5, 0.5, -2.0, 2.0), (5, 9)), e0=TWO_PI)           # lattice i k, k = -2..2
 @example(grid=((1400.0, 1440.0, -1.0, 1.0), (6, 3)), e0=1.0)         # value underflows to 0
 @example(grid=((-1440.0, -1400.0, 1e6, 1e6 + 8.0), (6, 3)), e0=1.0)
-def test_closed_form_scan_matches_mpmath(grid, e0):
+def test_closed_form_scan_matches_scalar(grid, e0):
     _assert_scan_matches_oracle("oscillator_closed", *grid, {"e0": e0},
                                 lambda z: _mp_closed_form(z, e0),
                                 lambda z: closed_form_oscillator(z, e0))
@@ -359,7 +360,7 @@ def test_closed_form_scan_matches_mpmath(grid, e0):
 @example(grid=((-0.5, 0.5, 0.0, 3.0), (5, 7)), n_factors=1000)       # lattice i k, k = 0..3
 @example(grid=((224.0, 240.0, -1.0, 1.0), (5, 3)), n_factors=1000)   # log|Z| from -704 to -754
 @example(grid=((0.0, 1.0, 1000.0, 1008.0), (3, 3)), n_factors=8)     # log|Z| > 745
-def test_pole_product_scan_matches_mpmath(grid, n_factors):
+def test_pole_product_scan_matches_scalar(grid, n_factors):
     e0 = TWO_PI if n_factors == 1000 else 1.0
     _assert_scan_matches_oracle("oscillator_product", *grid, {"e0": e0, "n_factors": n_factors},
                                 lambda z: _mp_pole_product(z, e0, n_factors),
@@ -431,7 +432,7 @@ def _mp_hadamard(z, zero_count):
 @example(grid=((-400.0, -2.0, 0.0, 1.0), (200, 2)), zero_count=7)        # trivial zeros -2n
 @example(grid=((-1024.0, -512.0, 64.0, 128.0), (3, 3)), zero_count=100)    # log|Z| > 745
 @example(grid=((512.0, 1024.0, -64.0, 64.0), (3, 3)), zero_count=100)      # log|Z| < -745
-def test_hadamard_scan_matches_mpmath(grid, zero_count):
+def test_hadamard_scan_matches_scalar(grid, zero_count):
     scan = _assert_scan_matches_oracle(
         "zeta_hadamard", *grid, {"zeros": _ZEROS, "zero_count": zero_count},
         lambda z: _mp_hadamard(z, zero_count), lambda z: hadamard_product(z, _ZEROS, zero_count))
@@ -487,7 +488,7 @@ _HEAVY = QNMSpectrum(modes=(0.5 - 1j, -0.5 - 1j), temperature=1.0, euclidean_act
 @example(case=(_UNPAIRED, ((-1.0, 1.0, -1.0, 1.0), (9, 9))))
 @example(case=(_UNPAIRED, ((2.0 ** 400, 2.0 ** 401, -1.0, 1.0), (3, 3))))  # log|Z| > 745
 @example(case=(_HEAVY, ((-1.0, 1.0, -1.0, 1.0), (3, 3))))          # log|Z| < -745
-def test_qnm_scan_matches_mpmath(case):
+def test_qnm_scan_matches_scalar(case):
     spec, grid = case
     _assert_scan_matches_oracle("qnm_conjectured", *grid, {"spectrum": spec},
                                 lambda z: _mp_qnm(z, spec),
