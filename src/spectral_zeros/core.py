@@ -1,17 +1,15 @@
 """Shared numerical kernels.
 
 The result and signal types every route returns or raises, the
-pole-lattice test, and a principal-branch complex log-gamma, accurate
-to >= 12 significant digits for |z| <= 100, computed by Stirling's
-series after pushing the argument right with the recurrence
-log Gamma(z) = log Gamma(z+1) - log z; the QNM gamma towers and the
-Riemann-Siegel theta are built on it.
+pole-lattice test, and the principal-branch complex log-gamma on which
+the QNM gamma towers and the Riemann-Siegel theta are built: scipy's
+loggamma behind a pole check.
 
-Every product is one array kernel over nodes, and its scalar is a
-one-node call.  The kernels share three helpers: node chunks that bound
-every node x factor temporary to CHUNK_ELEMENTS, the pole-lattice mask,
-and the per-node error estimate |Z| * (error of log Z) taken in the log
-domain.
+Every product and closed form is one array kernel over nodes, and its
+scalar is a one-node call.  The kernels share three helpers: node
+chunks that bound every node x factor temporary to CHUNK_ELEMENTS, the
+pole-lattice mask, and the per-node error estimate |Z| * (error of
+log Z) taken in the log domain.
 
 All functions are pure; nothing here holds mutable state.
 """
@@ -23,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import loggamma
 
 TWO_PI = 2.0 * math.pi
 HALF_LOG_TWO_PI = 0.5 * math.log(TWO_PI)
@@ -190,45 +189,14 @@ def result_from_value(value: complex, error_estimate: float = 0.0,
                             terms_used=int(terms_used))
 
 
-# Stirling coefficients B_{2k} / (2k (2k-1)) for k = 1..10.
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-    43867.0 / 244188.0,
-    -174611.0 / 125400.0,
-)
-
-# Stirling's series with 10 terms is good to ~1e-18 once Re z >= 9;
-# smaller arguments are pushed up by the exact recurrence.
-_STIRLING_MIN_RE = 9.0
-
-
 def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma(z).
+    """Principal branch of log Gamma(z), scipy.special.loggamma's.
 
-    Exact functional recurrence plus Stirling's asymptotic series; the
-    recurrence with principal logs preserves the principal branch
-    everywhere off the cut (-inf, 0].  Raises PoleError when z is within
-    1e-12 of a non-positive integer.
+    Raises PoleError when z is within 1e-12 of a non-positive integer.
     """
     z = complex(z)
     n = round(z.real)
     if n <= 0 and abs(z - n) < 1e-12:
         raise PoleError(f"log_gamma pole at non-positive integer {n}",
                         location=z, nearest=n)
-    w = z
-    shift = 0j
-    while w.real < _STIRLING_MIN_RE:
-        shift += cmath.log(w)
-        w += 1.0
-    rr = 1.0 / (w * w)
-    p = _STIRLING[-1]
-    for c in reversed(_STIRLING[:-1]):
-        p = p * rr + c
-    return (w - 0.5) * cmath.log(w) - w + HALF_LOG_TWO_PI + p / w - shift
+    return complex(loggamma(z))

@@ -59,14 +59,10 @@ def duality_spacing(spec: Spectrum) -> DualitySpacing:
     The product is constructed as the identity delta_E * (2 pi i / delta_E)
     = 2 pi i rather than multiplied out, so it is exact for every gap.
     """
-    if spec.kind == "oscillator":
-        gap = spec.e0
-    elif spec.kind == "affine":
-        gap = spec.gap
-    else:
+    if spec.kind not in ("oscillator", "affine"):
         raise ValueError(
             f"duality spacing needs an equally spaced spectrum, got kind={spec.kind!r}")
-    return DualitySpacing(delta_e=gap, delta_beta=complex(0.0, TWO_PI / gap),
+    return DualitySpacing(delta_e=spec.gap, delta_beta=complex(0.0, TWO_PI / spec.gap),
                           product=complex(0.0, TWO_PI))
 
 

@@ -40,8 +40,8 @@ from .qnm import (
     one_loop_log_partition,
 )
 from .spectra import (
+    closed_form_affine_array,
     closed_form_oscillator,
-    closed_form_oscillator_array,
     oscillator,
     partition_direct,
 )
@@ -119,8 +119,8 @@ class GridScan:
 # count calls) is seen by every later scan.
 
 def _oscillator_closed(e0=1.0):
-    e0 = float(e0)
-    return lambda z: closed_form_oscillator_array(z, e0)
+    spec = oscillator(float(e0))
+    return lambda z: closed_form_affine_array(z, spec.offset, spec.gap)
 
 
 def _oscillator_product(e0=1.0, n_factors=1000):

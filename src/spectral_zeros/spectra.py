@@ -12,6 +12,11 @@ partition_direct sums exp(-beta E_n) term by term; this is the
 "energy-level side" of the spectrum/zeros duality and is deliberately
 kept independent of every closed form and product evaluation elsewhere
 in the package.
+
+The closed forms sum the same geometric series exactly:
+closed_form_affine_array evaluates exp(-beta a) / (1 - e^{-beta g}) over
+an array of nodes, and closed_form_affine and closed_form_oscillator
+(a = E0/2, g = E0, i.e. 1/(2 sinh(beta E0/2))) are one-node calls of it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .core import (
     result_from_value,
 )
 
-# log of the smallest normal double: closed_form_oscillator returns 0 below it
+# log of the smallest normal double: the closed forms return 0 below it
 _LOG_TINY = math.log(sys.float_info.min)
 
 _DEFAULT_TERMS = {"oscillator": 1000, "affine": 1000, "primon": 100_000}
@@ -45,31 +50,28 @@ class Spectrum:
     """Immutable level-sequence description; build via the factories below."""
 
     kind: str
-    label: str = ""
-    e0: float = 0.0
     offset: float = 0.0
     gap: float = 0.0
     levels: tuple[float, ...] = ()
 
 
-def oscillator(e0: float, label: str = "oscillator") -> Spectrum:
+def oscillator(e0: float) -> Spectrum:
     if not e0 > 0:
         raise ValueError(f"oscillator quantum must be positive, got {e0}")
-    return Spectrum(kind="oscillator", label=label, e0=float(e0),
-                    offset=0.5 * float(e0), gap=float(e0))
+    return Spectrum(kind="oscillator", offset=0.5 * float(e0), gap=float(e0))
 
 
-def primon(label: str = "primon") -> Spectrum:
-    return Spectrum(kind="primon", label=label)
+def primon() -> Spectrum:
+    return Spectrum(kind="primon")
 
 
-def affine(offset: float, gap: float, label: str = "affine") -> Spectrum:
+def affine(offset: float, gap: float) -> Spectrum:
     if not gap > 0:
         raise ValueError(f"affine gap must be positive, got {gap}")
-    return Spectrum(kind="affine", label=label, offset=float(offset), gap=float(gap))
+    return Spectrum(kind="affine", offset=float(offset), gap=float(gap))
 
 
-def explicit(levels: Sequence[float], label: str = "explicit") -> Spectrum:
+def explicit(levels: Sequence[float]) -> Spectrum:
     lv = tuple(float(x) for x in levels)
     if not lv:
         raise ValueError("explicit spectrum needs at least one level")
@@ -78,7 +80,7 @@ def explicit(levels: Sequence[float], label: str = "explicit") -> Spectrum:
             raise ValueError(f"level {i} is not finite: {x}")
         if i and not x > lv[i - 1]:
             raise ValueError(f"levels must be strictly ascending, violated at index {i}")
-    return Spectrum(kind="explicit", label=label, levels=lv)
+    return Spectrum(kind="explicit", levels=lv)
 
 
 def energy_level(spec: Spectrum, n: int) -> float:
@@ -90,7 +92,7 @@ def energy_level(spec: Spectrum, n: int) -> float:
     if n < 0:
         raise IndexError(f"level index must be >= 0, got n={n}")
     if spec.kind == "oscillator":
-        return (n + 0.5) * spec.e0  # fused form keeps (n + 1/2) E0 exact
+        return (n + 0.5) * spec.gap  # fused form keeps (n + 1/2) E0 exact
     if spec.kind == "affine":
         return spec.offset + n * spec.gap
     if spec.kind == "explicit":
@@ -132,7 +134,7 @@ def partition_direct(spec: Spectrum, beta: complex, n_terms: int | None = None,
     if spec.kind in ("oscillator", "affine"):
         n = np.arange(n_terms)
         if spec.kind == "oscillator":
-            energies = (n + 0.5) * spec.e0
+            energies = (n + 0.5) * spec.gap
         else:
             energies = spec.offset + n * spec.gap
         total = complex(np.sum(np.exp(-beta * energies)))
@@ -164,21 +166,32 @@ def partition_direct(spec: Spectrum, beta: complex, n_terms: int | None = None,
 
 
 def closed_form_oscillator(beta: complex, e0: float) -> complex:
-    """exp(-beta E0/2) / (1 - exp(-beta E0)), i.e. 1/(2 sinh(beta E0/2)).
-
-    One node of closed_form_oscillator_array, which evaluates it without
-    overflow.  A value below the normal range of doubles (|Z| < 2.2e-308,
-    from |Re x| > ~1417) underflows to 0.
+    """1/(2 sinh(beta E0/2)), closed_form_affine at offset E0/2 and gap E0.
 
     Raises PoleError carrying the nearest integer k when beta*E0 is
     within 1e-12 of a pole 2 pi i k (k = 0 is the essential 1/(beta E0)
     divergence).
     """
+    spec = oscillator(e0)
+    return closed_form_affine(beta, spec.offset, spec.gap)
+
+
+def closed_form_affine(beta: complex, offset: float, gap: float) -> complex:
+    """exp(-beta*offset) / (1 - exp(-beta*gap)), the geometric closed form.
+
+    Poles sit at beta*gap = 2*pi*i*k independently of the offset, which
+    only scales the residues; this is the analytic content of "the poles
+    alone can't determine the energy level".  One node of
+    closed_form_affine_array, so no intermediate overflows; a value below
+    the normal range of doubles (|Z| < 2.2e-308; for the oscillator, from
+    |Re beta E0| > ~1417) underflows to 0.  Raises PoleError carrying the
+    nearest k on the lattice.
+    """
     beta = complex(beta)
-    log_z, flags = closed_form_oscillator_array(np.array([beta]), e0)
+    log_z, flags = closed_form_affine_array(np.array([beta]), offset, gap)
     if flags[0] == "pole":
-        k = lattice_pole_index(beta * e0)
-        raise PoleError(f"closed form has a pole at beta*E0 = 2*pi*i*{k}",
+        k = lattice_pole_index(beta * gap)
+        raise PoleError(f"closed form has a pole at beta*gap = 2*pi*i*{k}",
                         location=beta, nearest=k)
     return 0j if flags[0] == "zero" else cmath.exp(log_z[0])
 
@@ -192,56 +205,53 @@ def _one_minus_exp(a, b):
     return 2.0 * decay * s * s - np.expm1(-a), decay * np.sin(b)
 
 
-def closed_form_oscillator_array(beta: np.ndarray, e0: float) -> tuple[np.ndarray, np.ndarray]:
-    """closed_form_oscillator on a complex array of nodes: (log Z, flags)
-    per node.  Z is odd in x = beta E0, so it is taken at y = +-x with
-    Re y >= 0: log Z = -y/2 - log(1 - e^{-y}) (+ i pi when y = -x).
-    Flags are "pole" on the lattice, "zero" below the normal range of
+def _split(v):
+    """Veltkamp's split v = hi + lo, halves of at most 26 significant bits
+    whose products are exact."""
+    c = 134217729.0 * v  # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def closed_form_affine_array(beta: np.ndarray, offset: float,
+                             gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """closed_form_affine on a complex array of nodes: (log Z, flags) per node.
+
+    With x = beta*gap it is taken at y = +-x with Re y >= 0, so no
+    intermediate overflows: log Z = -beta*offset - log(1 - e^{-x}), or
+    for Re x < 0, where Z = -exp(beta*(gap - offset)) / (1 - e^{x}),
+    log Z = beta*(gap - offset) - log(1 - e^{-y}) + i pi.  Flags are
+    "pole" on the lattice x = 2 pi i k, "zero" below the normal range of
     doubles, else "".
     """
-    if not e0 > 0:
-        raise ValueError(f"oscillator quantum must be positive, got {e0}")
+    if not gap > 0:
+        raise ValueError(f"affine gap must be positive, got {gap}")
+    # gap - offset = d + d_err exactly (2Sum): exp would amplify the error
+    # of beta (gap - offset) by its size, up to ~700 here
+    d = gap - offset
+    t = d - gap
+    d_err = (gap - (d - t)) + (-offset - t)
+    d_hi, d_lo = _split(d)
     log_z = np.empty(beta.shape, dtype=complex)
     flags = np.empty(beta.shape, dtype="U4")
     with np.errstate(all="ignore"):
         for sl in node_chunks(beta.size, 1):
-            x_re, x_im = beta.real[sl] * e0, beta.imag[sl] * e0
+            b_re, b_im = beta.real[sl], beta.imag[sl]
+            x_re, x_im = b_re * gap, b_im * gap
             flip = x_re < 0
-            a = np.where(flip, -x_re, x_re)
-            b = np.where(flip, -x_im, x_im)
-            den_re, den_im = _one_minus_exp(a, b)
-            log_z.real[sl] = log_abs = -0.5 * a - np.log(np.hypot(den_re, den_im))
-            log_z.imag[sl] = (np.arctan2(-np.sin(0.5 * b), np.cos(0.5 * b))
+            # Re beta (gap - offset), rounded once: the exact rounding error
+            # of p (Dekker; NaN where a split overflows, then dropped) joins
+            # beta d_err before the sum, so with d_err = 0 the sum is p
+            p = b_re * d
+            b_hi, b_lo = _split(b_re)
+            p_err = ((b_hi * d_hi - p) + b_hi * d_lo + b_lo * d_hi) + b_lo * d_lo
+            exp_re = np.where(flip, p + np.nan_to_num(p_err + b_re * d_err), -(b_re * offset))
+            exp_im = np.where(flip, b_im * d + b_im * d_err, -(b_im * offset))
+            den_re, den_im = _one_minus_exp(np.abs(x_re), np.where(flip, -x_im, x_im))
+            log_z.real[sl] = log_abs = exp_re - np.log(np.hypot(den_re, den_im))
+            # arctan2 reduces the exponent's phase exactly; pi is the sign of -1
+            log_z.imag[sl] = (np.arctan2(np.sin(exp_im), np.cos(exp_im))
                               - np.arctan2(den_im, den_re) + np.where(flip, math.pi, 0.0))
             flags[sl] = np.where(log_abs < _LOG_TINY, "zero", "")
             flags[sl][lattice_pole_mask(x_re, x_im)] = "pole"
     return log_z, flags
-
-
-def closed_form_affine(beta: complex, offset: float, gap: float) -> complex:
-    """exp(-beta*offset) / (1 - exp(-beta*gap)), the geometric closed form.
-
-    Poles sit at beta*gap = 2*pi*i*k independently of the offset, which
-    only scales the residues; this is the analytic content of "the poles
-    alone can't determine the energy level".  Evaluated at y = +-x,
-    x = beta*gap, with Re y >= 0 as the oscillator closed form is: for
-    Re x < 0, Z = -exp(beta*(gap - offset)) / (1 - e^{-y}), so no
-    intermediate overflows while the value is representable.
-    """
-    if not gap > 0:
-        raise ValueError(f"affine gap must be positive, got {gap}")
-    beta = complex(beta)
-    x = beta * gap
-    k = lattice_pole_index(x)
-    if k is not None:
-        raise PoleError(f"closed form has a pole at beta*gap = 2*pi*i*{k}",
-                        location=beta, nearest=k)
-    if x.real >= 0:
-        return cmath.exp(-beta * offset) / complex(*_one_minus_exp(x.real, x.imag))
-    # gap - offset and its rounding error (2Sum), each exponentiated: exp
-    # would amplify that error by |beta (gap - offset)|, up to ~700 here
-    d = gap - offset
-    t = d - gap
-    d_err = (gap - (d - t)) + (-offset - t)
-    return (-cmath.exp(beta * d) * cmath.exp(beta * d_err)
-            / complex(*_one_minus_exp(-x.real, -x.imag)))

@@ -159,14 +159,16 @@ def zeta_em(s: complex, cutoff: int = 100, correction_order: int = 6) -> Evaluat
     rising = s                      # (s)(s+1)...(s+2k-2), grown incrementally
     fact = 2.0                      # (2k)!
     npow = cutoff ** (-s - 1.0)     # N^{-s-2k+1}
-    term = 0j
     for k in range(1, correction_order + 1):
-        term = _BERNOULLI_EVEN[k - 1] / fact * rising * npow
-        total += term
+        if npow == 0:
+            # every later term underflows too, while rising may have
+            # overflowed: 0 * inf would make the sum NaN
+            break
+        total += _BERNOULLI_EVEN[k - 1] / fact * rising * npow
         rising *= (s + (2 * k - 1)) * (s + 2 * k)
         fact *= (2 * k + 1) * (2 * k + 2)
         npow /= cutoff * cutoff
-    omitted = abs(_BERNOULLI_EVEN[correction_order] / fact * rising * npow)
+    omitted = 0.0 if npow == 0 else abs(_BERNOULLI_EVEN[correction_order] / fact * rising * npow)
     return result_from_value(total, omitted, cutoff + correction_order)
 
 

@@ -197,7 +197,8 @@ def test_rejected_parameters_cost_no_setup(monkeypatch):
 
 
 @pytest.mark.parametrize("name, library_fn, params", [
-    ("oscillator_closed", "closed_form_oscillator", {}),
+    # the oscillator closed form is the affine kernel at offset E0/2, gap E0
+    ("oscillator_closed", "closed_form_affine", {"e0": 2.0}),
     ("oscillator_product", "pole_product_oscillator", {"n_factors": 10}),
     ("zeta_em", "zeta_em", {"cutoff": 60}),
     ("zeta_hadamard", "hadamard_product", {"zero_count": 3}),
@@ -206,7 +207,7 @@ def test_rejected_parameters_cost_no_setup(monkeypatch):
 ])
 def test_evaluators_look_up_library_functions_at_call_time(monkeypatch, name,
                                                            library_fn, params):
-    # each evaluator calls the array twin of a library function, named with
+    # each evaluator calls the array kernel of a library function, named with
     # an _array suffix; tracing and call counting replace that name in
     # scan_cli after the evaluator is built, and must still see every call
     fn = make_evaluator(name, **params)
@@ -716,6 +717,13 @@ def test_error_estimates_survive_an_underflowing_value(capsys, argv, evaluate):
         assert "nan" not in capsys.readouterr().out
     r = evaluate()
     assert r.value == 0 and r.error_estimate == 0.0
+
+
+def test_cli_zeta_compare_far_right_exits_0(capsys):
+    # zeta_em's estimate was NaN there, which EvaluationResult rejects (exit 2)
+    assert cli_dispatch(["zeta", "compare", "--re", "1e150", "--zero-count", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out and "euler_maclaurin   1+0j" in out
 
 
 def test_cli_scan_formats_are_deterministic(tmp_path):

@@ -208,6 +208,17 @@ def test_closed_form_affine_agrees_with_mpmath(re, im, offset_fraction, gap):
     assert abs(mpmath.mpc(got) - want) <= 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("re", [1416.0, 1419.0, 1420.0, 1450.0, 1500.0, 1e5, 1e300])
+def test_closed_form_affine_far_field_flushes_below_the_normal_range(re):
+    # Re beta*gap = +-1450 gave a subnormal +-1.37e-315; the affine form now
+    # flushes to 0 below the normal range, as the oscillator closed form does
+    for x in (complex(re, 0.5), complex(-re, -0.5)):
+        got = closed_form_affine(x, 0.5, 1.0)
+        assert got == 0 or abs(got) >= 2.2250738585072014e-308
+        if re >= 1450.0:
+            assert got == 0
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(-3, 3), st.floats(-11.0, -1.0), st.floats(0.0, 2.0 * math.pi),
        st.sampled_from([0.0, 0.3, 1.7]), st.sampled_from([0.5, 1.0, 2.0]))

@@ -79,6 +79,14 @@ def test_zeta_em_warns_outside_validated_window():
         zeta_em(-6.0)
 
 
+@pytest.mark.parametrize("s", [1e30, 1e40, 1e150, complex(1e300, 3.0)])
+def test_zeta_em_far_right_is_one_with_a_finite_estimate(s):
+    # N^{-s-2k+1} underflows to 0 while the rising factorial overflows:
+    # their product, 0 * inf, made the estimate (and from ~1e40 the sum) NaN
+    r = zeta_em(s)
+    assert r.value == 1 and r.error_estimate == 0.0
+
+
 def test_zeta_em_internal_consistency_high_on_the_line():
     # same point, very different truncation/correction choices
     a = zeta_em(complex(0.5, 50.0), cutoff=150, correction_order=6).value
