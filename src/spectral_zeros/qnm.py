@@ -286,16 +286,14 @@ def asymptotic_spacing_fit(spec: QNMSpectrum,
 
 def synthetic_affine_tower(temperature: float, count: int,
                            euclidean_action: float = 0.0) -> QNMSpectrum:
-    """Purely damped equally spaced modes z_n = -2 pi i T (n+1).
+    """Purely damped equally spaced modes z_n = -2 pi i T (n+1): the
+    perturbed tower at amplitude 0.
 
     The tower arguments are then the integers n+1: the one-loop factors
     carry the same equally spaced lattice as the oscillator poles.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    modes = tuple(complex(0.0, -TWO_PI * temperature * (n + 1)) for n in range(count))
-    return QNMSpectrum(modes=modes, temperature=temperature,
-                       euclidean_action=euclidean_action, symmetry="reflection")
+    return synthetic_perturbed_tower(temperature, count, 0.0,
+                                     euclidean_action=euclidean_action)
 
 
 def synthetic_perturbed_tower(temperature: float, count: int, amplitude: float,

@@ -134,12 +134,19 @@ def _zeta_em(cutoff=None):
     return lambda z: zeta_em_array(z, cutoff)
 
 
-def _zeta_hadamard(zeros=None, zero_count=None):
+def _zero_table(zeros, zero_count):
+    """(table, count), the one way the CLI and the zeta_hadamard scan get
+    zeros: a table as given, a path ingested, else find_zeros(zero_count or
+    100); the count is the whole table unless zero_count is given."""
     if isinstance(zeros, (str, os.PathLike)):
         zeros = ingest_zeros_file(zeros)
-    if zeros is None:
-        zeros = find_zeros(int(zero_count) if zero_count is not None else 100)
-    k = int(zero_count) if zero_count is not None else len(zeros)
+    elif zeros is None:
+        zeros = find_zeros(int(zero_count or 100))
+    return zeros, len(zeros) if zero_count is None else int(zero_count)
+
+
+def _zeta_hadamard(zeros=None, zero_count=None):
+    zeros, k = _zero_table(zeros, zero_count)
     return lambda z: hadamard_product_array(z, zeros, k)[:2]
 
 
@@ -302,9 +309,7 @@ def write_pgm(scan: GridScan, path) -> None:
 # ------------------------------------------------------------ table plumbing
 
 def _fmt(v, precise: bool = False) -> str:
-    if isinstance(v, float):
-        return repr(v) if precise else format(v, ".12g")
-    if isinstance(v, complex):
+    if isinstance(v, (float, complex)):
         return repr(v) if precise else format(v, ".12g")
     return str(v)
 
@@ -317,13 +322,11 @@ def _print_table(columns: Sequence[str], rows: Sequence[Sequence]) -> None:
 
 
 def _emit_table(columns: Sequence[str], rows: Sequence[Sequence], args) -> None:
-    out = getattr(args, "out", None)
-    if out is None:
+    if args.out is None:
         _print_table(columns, rows)
         return
-    fmt = getattr(args, "format", None) or "csv"
-    if fmt == "csv":
-        with open(out, "w", newline="") as fh:
+    if args.format == "csv":
+        with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(columns)
             for row in rows:
@@ -331,21 +334,14 @@ def _emit_table(columns: Sequence[str], rows: Sequence[Sequence], args) -> None:
     else:
         doc = {"columns": list(columns),
                "rows": [[_fmt(v, precise=True) for v in row] for row in rows]}
-        Path(out).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        Path(args.out).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _scan_meta(args, evaluator: str) -> dict | None:
-    if getattr(args, "no_meta", False):
-        return None
-    return {"evaluator": evaluator, "generator": f"spectral-zeros {__version__}"}
-
-
-def _emit_scan(scan: GridScan, args, evaluator: str) -> None:
-    out = getattr(args, "out", None)
-    if out is None:
+def _emit_scan(scan: GridScan, args) -> None:
+    if args.out is None:
         poles, zeros = scan.flag_count("pole"), scan.flag_count("zero")
         finite = scan.log_abs[scan.flags == ""]
-        print(f"scan {evaluator}: {scan.resolution[0]}x{scan.resolution[1]} nodes "
+        print(f"scan {args.evaluator}: {scan.resolution[0]}x{scan.resolution[1]} nodes "
               f"over [{scan.region[0]:g},{scan.region[1]:g}]x[{scan.region[2]:g},{scan.region[3]:g}]")
         print(f"flags: {poles} pole, {zeros} zero")
         if finite.size:
@@ -355,13 +351,14 @@ def _emit_scan(scan: GridScan, args, evaluator: str) -> None:
         for z in locate_zeros(scan)[:8]:
             print(f"zero candidate near {z:.6g}")
         return
-    fmt = getattr(args, "format", None) or "csv"
-    if fmt == "csv":
-        write_csv(scan, out)
-    elif fmt == "json":
-        write_json(scan, out, meta=_scan_meta(args, evaluator))
+    if args.format == "csv":
+        write_csv(scan, args.out)
+    elif args.format == "json":
+        meta = None if args.no_meta else {"evaluator": args.evaluator,
+                                         "generator": f"spectral-zeros {__version__}"}
+        write_json(scan, args.out, meta=meta)
     else:
-        write_pgm(scan, out)
+        write_pgm(scan, args.out)
 
 
 # ------------------------------------------------------------------ commands
@@ -381,18 +378,11 @@ def _cmd_oscillator(args) -> int:
     return 0
 
 
-def _load_zero_table(args):
-    if getattr(args, "zeros_file", None):
-        return ingest_zeros_file(args.zeros_file)
-    return find_zeros(args.zero_count)
-
-
 def _cmd_zeta_compare(args) -> int:
     s = complex(args.re, args.im)
     em = zeta_em(s, cutoff=args.cutoff)
     euler = euler_product(s, args.prime_limit)
-    zeros = _load_zero_table(args)
-    had = hadamard_product(s, zeros, min(args.zero_count, len(zeros)))
+    had = hadamard_product(s, *_zero_table(args.zeros, args.zero_count))
     rows = [
         ["euler_maclaurin", em.value, 0.0, em.error_estimate],
         ["euler_product", euler.value, abs(euler.value - em.value), euler.error_estimate],
@@ -414,11 +404,10 @@ def _cmd_zeta_zeros(args) -> int:
 
 
 def _cmd_zeta_explicit(args) -> int:
-    zeros = _load_zero_table(args)
-    count = min(args.zero_count, len(zeros))
-    approx = explicit_formula_psi(args.x, zeros, count)
+    approx = explicit_formula_psi(args.x, *_zero_table(args.zeros, args.zero_count))
     direct = psi_direct(args.x)
-    rows = [[args.x, direct, approx.value.real, abs(approx.value.real - direct), count]]
+    rows = [[args.x, direct, approx.value.real, abs(approx.value.real - direct),
+             approx.terms_used]]
     _emit_table(["x", "psi_direct", "psi_from_zeros", "abs_err", "zeros_used"], rows, args)
     return 0
 
@@ -444,13 +433,13 @@ def _cmd_scan(args) -> int:
               if (v := getattr(args, k, None)) is not None}
     scan = grid_scan(args.evaluator, tuple(args.region), (args.cols, args.rows),
                      params=params)
-    _emit_scan(scan, args, args.evaluator)
+    _emit_scan(scan, args)
     return 0
 
 
 def _table_out_args(p) -> None:
     p.add_argument("--out", default=None, help="write the table instead of printing")
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def _grid_args(p) -> None:
@@ -459,9 +448,16 @@ def _grid_args(p) -> None:
     p.add_argument("--cols", type=int, default=64)
     p.add_argument("--rows", type=int, default=64)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json", "pgm"], default=None)
+    p.add_argument("--format", choices=["csv", "json", "pgm"], default="csv")
     p.add_argument("--no-meta", action="store_true",
                    help="omit the metadata block from JSON output")
+
+
+def _zeros_args(p) -> None:
+    p.add_argument("--zero-count", type=int, default=None,
+                   help="zeros to use: default the whole --zeros-file, or 100 found by "
+                        "find_zeros without one; a count beyond the table exits 2")
+    p.add_argument("--zeros-file", dest="zeros", metavar="ZEROS_FILE", default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -489,8 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     zc.add_argument("--im", type=float, default=0.0)
     zc.add_argument("--cutoff", type=int, default=200)
     zc.add_argument("--prime-limit", type=int, default=100000)
-    zc.add_argument("--zero-count", type=int, default=100)
-    zc.add_argument("--zeros-file", default=None)
+    _zeros_args(zc)
     _table_out_args(zc)
     zc.set_defaults(func=_cmd_zeta_compare)
 
@@ -502,8 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ze = zsub.add_parser("explicit", help="Chebyshev psi from zeros vs direct count")
     ze.add_argument("--x", type=float, required=True)
-    ze.add_argument("--zero-count", type=int, default=100)
-    ze.add_argument("--zeros-file", default=None)
+    _zeros_args(ze)
     _table_out_args(ze)
     ze.set_defaults(func=_cmd_zeta_explicit)
 
@@ -533,8 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--e0", type=float, default=None)
     sc.add_argument("--n-factors", type=int, default=None)
     sc.add_argument("--cutoff", type=int, default=None)
-    sc.add_argument("--zero-count", type=int, default=None)
-    sc.add_argument("--zeros-file", dest="zeros", metavar="ZEROS_FILE", default=None)
+    _zeros_args(sc)
     sc.add_argument("--spectrum", default=None)
     sc.set_defaults(func=_cmd_scan)
 

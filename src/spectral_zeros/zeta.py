@@ -103,7 +103,6 @@ class ZetaZeroTable:
     """
 
     ordinates: tuple[float, ...]
-    source: str = "computed"  # "computed" | "file"
 
     def __post_init__(self):
         object.__setattr__(self, "ordinates", tuple(float(g) for g in self.ordinates))
@@ -114,8 +113,6 @@ class ZetaZeroTable:
                 raise ValueError(f"ordinate {g} at index {i} below the first zero")
             if i and not g > self.ordinates[i - 1]:
                 raise ValueError(f"ordinates must be strictly ascending, violated at index {i}")
-        if self.source not in ("computed", "file"):
-            raise ValueError(f"source must be 'computed' or 'file', got {self.source!r}")
         g = np.array(self.ordinates, dtype=np.float64)
         object.__setattr__(self, "_g", g)
         # numpy divides a complex by a real array as a product with 1/d
@@ -336,16 +333,24 @@ def _estimated_window(count: int) -> float:
     return 1.2 * t
 
 
+def _verification_failure(ordinates, tol: float) -> str | None:
+    """What fails first of |zeta(1/2 + i gamma)| < tol, None if nothing does."""
+    for gamma in ordinates:
+        if not (resid := abs(zeta_critical_line(gamma))) < tol:
+            return f"ordinate {gamma} fails verification: |zeta| = {resid}"
+    return None
+
+
 def find_zeros(count: int, t_max: float | None = None) -> ZetaZeroTable:
     """First `count` critical-line ordinates by scan + bisection on hardy_z.
 
     Deterministic: fixed scan grid of step 0.25, fixed bisection depth
-    (|dt| < 1e-9), every ordinate re-verified |zeta(1/2 + i gamma)| < 1e-8.
+    (|dt| < 1e-9); ArithmeticError unless every |zeta(1/2 + i gamma)| < 1e-8.
     Raises WindowExhaustedError if t_max (given or estimated) is hit first;
     the caller enlarges the window.  Known miss: two zeros in one scan cell
     give no sign change, so both are skipped and every later index shifts.
     The first such pair is gamma_922/gamma_923 (t = 1329.04, 1329.21): the
-    table is exact for count <= 921 only.
+    table is exact for count <= 921 only (a strict-xfail test pins this).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -360,19 +365,16 @@ def find_zeros(count: int, t_max: float | None = None) -> ZetaZeroTable:
         if z_prev == 0.0:
             found.append(t)
         elif z_next != 0.0 and (z_prev < 0) != (z_next < 0):
-            # a zero exactly on t_next is appended at the next step instead
+            # lo keeps z_prev's sign and an exact zero at mid becomes hi; a
+            # zero exactly on t_next is appended at the next step instead
             lo, hi = t, t_next
-            zlo = z_prev
             while hi - lo > 1e-9:
                 mid = 0.5 * (lo + hi)
                 zm = hardy_z(mid)
-                if zm == 0.0:
-                    lo = hi = mid
-                    break
-                if (zlo < 0) != (zm < 0):
+                if zm == 0.0 or (zm < 0) != (z_prev < 0):
                     hi = mid
                 else:
-                    lo, zlo = mid, zm
+                    lo = mid
             found.append(0.5 * (lo + hi))
         t, z_prev = t_next, z_next
     if len(found) < count:
@@ -380,17 +382,16 @@ def find_zeros(count: int, t_max: float | None = None) -> ZetaZeroTable:
             f"found {len(found)} of {count} zeros below t_max={t_max}; "
             "enlarge the window", t_max=t_max, found=len(found))
     ordinates = found[:count]
-    for gamma in ordinates:
-        resid = abs(zeta_critical_line(gamma))
-        if not resid < 1e-8:
-            raise ArithmeticError(
-                f"located ordinate {gamma} fails verification: |zeta| = {resid}")
-    return ZetaZeroTable(tuple(ordinates), source="computed")
+    if failure := _verification_failure(ordinates, 1e-8):
+        raise ArithmeticError(f"located {failure}")
+    return ZetaZeroTable(tuple(ordinates))
 
 
 def ingest_zeros_file(path, verify: bool = False) -> ZetaZeroTable:
     """Read ordinates, one positive decimal per line, '#' comments allowed.
 
+    Raises ZerosFileError naming the path (and line) for an empty file, a
+    non-positive or non-ascending entry, or a table ZetaZeroTable rejects.
     verify=True re-checks each ordinate |zeta(1/2 + i gamma)| < 1e-6.
     """
     ordinates: list[float] = []
@@ -412,15 +413,11 @@ def ingest_zeros_file(path, verify: bool = False) -> ZetaZeroTable:
     if not ordinates:
         raise ZerosFileError(f"{path}: no ordinates found")
     try:
-        table = ZetaZeroTable(tuple(ordinates), source="file")
+        table = ZetaZeroTable(tuple(ordinates))
     except ValueError as e:
         raise ZerosFileError(f"{path}: {e}") from None
-    if verify:
-        for gamma in table.ordinates:
-            resid = abs(zeta_critical_line(gamma))
-            if not resid < 1e-6:
-                raise ZerosFileError(
-                    f"{path}: ordinate {gamma} fails verification: |zeta| = {resid}")
+    if verify and (failure := _verification_failure(table.ordinates, 1e-6)):
+        raise ZerosFileError(f"{path}: {failure}")
     return table
 
 
@@ -447,17 +444,9 @@ def psi_direct(x: float) -> float:
 
 
 def _is_near_prime_power(x: float, tol: float = 1e-6) -> bool:
+    # Lambda(n) = psi(n) - psi(n - 1) is positive exactly at prime powers
     n = round(x)
-    if abs(x - n) >= tol or n < 2:
-        return False
-    for p in _prime_sieve(int(n)):
-        p = int(p)
-        pk = p
-        while pk <= n:
-            if pk == n:
-                return True
-            pk *= p
-    return False
+    return abs(x - n) < tol and n >= 2 and psi_direct(n) > psi_direct(n - 1)
 
 
 def explicit_formula_psi(x: float, zeros: ZetaZeroTable,

@@ -1,4 +1,5 @@
 import cmath
+import csv
 import json
 import math
 import sys
@@ -655,6 +656,51 @@ def test_cli_non_finite_input_exits_2(tmp_path, capsys, text, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (str(f) if text is not None else "scan region must be finite") in err
+
+
+@pytest.fixture(scope="module")
+def zeros5(tmp_path_factory):
+    table = find_zeros(5)
+    path = tmp_path_factory.mktemp("zeros") / "z5.txt"
+    path.write_text("".join(repr(g) + "\n" for g in table.ordinates))
+    return table, path
+
+
+_ZERO_RULE_ARGV = {
+    "compare": ["zeta", "compare", "--re", "2"],
+    "explicit": ["zeta", "explicit", "--x", "20"],
+    "scan": ["scan", "--evaluator", "zeta_hadamard", *_GRID],
+}
+
+
+@pytest.mark.parametrize("zero_count", [None, 3, 10], ids=["no_count", "count_3", "count_10"])
+@pytest.mark.parametrize("command", list(_ZERO_RULE_ARGV))
+def test_cli_zero_rule_is_one_for_every_command(tmp_path, capsys, zeros5, command, zero_count):
+    # a file is used whole unless --zero-count is given; a count beyond it exits 2
+    table, path = zeros5
+    out = tmp_path / "out.csv"
+    argv = _ZERO_RULE_ARGV[command] + ["--zeros-file", str(path), "--out", str(out)]
+    if zero_count is not None:
+        argv += ["--zero-count", str(zero_count)]
+    code = cli_dispatch(argv)
+    err = capsys.readouterr().err
+    if zero_count == 10:
+        assert code == 2 and err.count("\n") == 1
+        assert "zero_count=10 exceeds table size 5" in err
+        return
+    assert code == 0 and err == ""
+    n = 5 if zero_count is None else zero_count
+    rows = list(csv.reader(out.read_text().splitlines()))
+    if command == "compare":
+        hadamard = next(row for row in rows if row[0] == "hadamard_product")
+        assert hadamard[1] == repr(hadamard_product(2, table, n).value)
+    elif command == "explicit":
+        assert dict(zip(*rows))["zeros_used"] == str(n)
+    else:
+        expected = tmp_path / "expected.csv"
+        write_csv(grid_scan("zeta_hadamard", (-1.0, 1.0, -1.0, 1.0), (4, 4),
+                            {"zeros": table, "zero_count": n}), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 def test_cli_numerical_failure_exits_2(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,8 +167,6 @@ def test_zero_table_validation():
         ZetaZeroTable((12.0,))          # below the first zero
     with pytest.raises(ValueError):
         ZetaZeroTable((15.0, 14.5))     # descending
-    with pytest.raises(ValueError):
-        ZetaZeroTable((15.0,), source="guessed")
     with pytest.raises(ValueError, match="not finite"):
         ZetaZeroTable((15.0, math.inf))
 
@@ -230,6 +229,31 @@ def test_hardy_function_is_real_rotation():
         assert abs(hardy_z(t) - w.real) == 0.0
 
 
+# mpmath 1.3.0 zetazero at dps 30, generated by perfbench/gen_reference.py
+_MPMATH_ZEROS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "zeta_zeros_1000.txt"
+
+
+@pytest.fixture(scope="module")
+def scanned_vs_mpmath():
+    # one 1000-zero scan (about 3 s) for both comparisons with the mpmath table
+    lines = _MPMATH_ZEROS.read_text().splitlines()
+    reference = [float(line) for line in lines if line and not line.startswith("#")]
+    assert len(reference) == 1000
+    return find_zeros(1000).ordinates, reference
+
+
+def test_find_zeros_matches_mpmath_through_921(scanned_vs_mpmath):
+    scanned, reference = scanned_vs_mpmath
+    assert max(abs(a - b) for a, b in zip(scanned[:921], reference[:921])) < 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: gamma_922 and gamma_923 share one "
+                   "0.25 scan cell, so both are skipped and every later index shifts by two")
+def test_find_zeros_matches_mpmath_through_1000(scanned_vs_mpmath):
+    scanned, reference = scanned_vs_mpmath
+    assert [k for k, (a, b) in enumerate(zip(scanned, reference)) if not abs(a - b) < 1e-8] == []
+
+
 # ------------------------------------------------------------------- ingest
 
 def test_ingest_roundtrip(tmp_path, zeros100):
@@ -238,7 +262,6 @@ def test_ingest_roundtrip(tmp_path, zeros100):
     lines += [repr(g) for g in zeros100.ordinates[:5]]
     p.write_text("\n".join(lines) + "\n")
     table = ingest_zeros_file(p, verify=True)
-    assert table.source == "file"
     assert table.ordinates == zeros100.ordinates[:5]
 
 
