@@ -2,8 +2,7 @@
 
 The result and signal types every route returns or raises, the
 pole-lattice test, and the principal-branch complex log-gamma on which
-the QNM gamma towers and the Riemann-Siegel theta are built: scipy's
-loggamma behind a pole check.
+the QNM gamma towers are built: scipy's loggamma behind a pole check.
 
 Every product and closed form is one array kernel over nodes, and its
 scalar is a one-node call.  The kernels share three helpers: node

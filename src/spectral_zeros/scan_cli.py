@@ -136,12 +136,14 @@ def _zeta_em(cutoff=None):
 
 def _zero_table(zeros, zero_count):
     """(table, count), the one way the CLI and the zeta_hadamard scan get
-    zeros: a table as given, a path ingested, else find_zeros(zero_count or
-    100); the count is the whole table unless zero_count is given."""
+    zeros: a table as given, a path ingested, else find_zeros(zero_count),
+    of 100 zeros for no count or one below 1; the count is the whole table
+    unless zero_count is given, and the kernels reject it if out of range."""
     if isinstance(zeros, (str, os.PathLike)):
         zeros = ingest_zeros_file(zeros)
     elif zeros is None:
-        zeros = find_zeros(int(zero_count or 100))
+        n = int(zero_count or 0)
+        zeros = find_zeros(n if n > 0 else 100)
     return zeros, len(zeros) if zero_count is None else int(zero_count)
 
 

@@ -14,21 +14,25 @@ routes are played against each other in the tests:
 
 find_zeros locates critical-line zeros as sign changes of the
 Hardy-type function Z(t) = Re[e^{i theta(t)} zeta(1/2+it)] with
-theta(t) = Im log_gamma(1/4 + it/2) - (t/2) ln pi, then bisects.
-Everything funnels through zeta_em, so the zero table is only as good
-as the Euler-Maclaurin window; the adaptive rule cutoff >= 2|Im s| + 50
-keeps the verification |zeta(1/2 + i gamma_k)| < 1e-8 honest.
+theta(t) = Im log Gamma(1/4 + it/2) - (t/2) ln pi, then bisects.  The
+Riemann-Siegel formula (riemann_siegel_z, ~sqrt(t/2pi) terms) decides
+the signs wherever its error bound certifies them; every other sign
+comes from hardy_z, the Euler-Maclaurin Z, so each sign, and with it
+the table, is the one hardy_z alone would give.  Euler-Maclaurin also
+verifies: every ordinate must pass |zeta(1/2 + i gamma_k)| < 1e-8 by
+zeta_em, whose adaptive rule cutoff >= 2|Im s| + 50 keeps that honest.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
+from scipy.special import loggamma, polygamma
 
 from .core import (
     EXP_UNDERFLOW,
@@ -39,7 +43,6 @@ from .core import (
     PoleError,
     TWO_PI,
     ZeroHitSignal,
-    log_gamma,
     node_chunks,
     result_from_log,
     result_from_value,
@@ -72,8 +75,69 @@ _TWO_N = 2.0 * np.arange(1, _GAMMA_FACTOR_TERMS + 1, dtype=np.float64)
 _TRIGAMMA_TAIL = float(polygamma(1, _GAMMA_FACTOR_TERMS + 1))
 _LINEAR = (EULER_GAMMA + LOG_PI) / 2.0 - math.fsum(1.0 / _TWO_N)
 
-# step of the critical-line sign scan in find_zeros
+# step of the critical-line sign scan in find_zeros, the scan nodes per
+# riemann_siegel_z call (256 in t), and the bisection rounds: 28 halvings
+# of a cell leave 0.25/2^28 < 1e-9 < 0.25/2^27
 _SCAN_STEP = 0.25
+_SCAN_WINDOW = 1024
+_BISECTIONS = 28
+
+# Gabcke's bound 0.017 t^(-11/4) on the Riemann-Siegel remainder after
+# C_4 holds from here on
+_RS_T_MIN = 200.0
+
+# Riemann-Siegel corrections C_0..C_4 about p = 1/2: with x = p - 1/2,
+# C_k = x^(k mod 2) * sum_j c_j x^(2j).  Written by
+# scripts/gen_riemann_siegel_coefficients.py; a tier-1 test reruns it.
+_RS_CORRECTIONS = (
+    (
+        0.3826834323650898, 1.7489618723100817, 2.118025207685496,
+        -0.8707216670511481, -3.4733112243465167, -1.6626947308999325,
+        1.216731288919232, 1.3014304161007977, 0.03051102182736167,
+        -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
+        0.029999480619902277, -0.0022759396706125644, -0.004382647416580339,
+        -0.0004064230183729847, 0.0004006097785422114, 8.971057991388841e-05,
+        -2.3025650027239108e-05, -9.380006601906792e-06,
+    ),
+    (
+        -0.053650205256750697, 0.11027818741081483, 1.2317200154315227,
+        1.2634964862799458, -1.695108997559503, -2.9998711967650102,
+        -0.10819944959899208, 1.9407662946212714, 0.7838423561500687,
+        -0.5054829667900366, -0.38450723496057976, 0.03747264646531532,
+        0.09092026610973176, 0.01044923755006451, -0.012582979651583417,
+        -0.003399503721151274, 0.0010410950537714891, 0.0005010949051118486,
+        -3.956359669003182e-05, -4.7624592453571896e-05,
+    ),
+    (
+        0.005188542830293168, 0.0012378633552253898, -0.18137505725166997,
+        0.14291492748532125, 1.3303391766687565, 0.3522472353403734,
+        -2.421001595891951, -1.6760787022538108, 1.3689416723328371,
+        1.5539019430222982, -0.1722164273472998, -0.6359068055045431,
+        -0.09911649873041208, 0.14033480067387008, 0.04782352019827292,
+        -0.017356040641479782, -0.010225012534028593, 0.0009274149159794888,
+        0.0013572194372373386, 6.41369012029388e-05, -0.0001230080569819663,
+    ),
+    (
+        -0.0026794321814389136, 0.02995372109103515, -0.042570172541828696,
+        -0.28997965779803886, 0.4888831999235446, 1.230855876395746,
+        -0.8297560708527408, -2.249763536666567, 0.07845139961005472,
+        1.7467492800868893, 0.45968080979749937, -0.6619353471039775,
+        -0.31590441036173633, 0.12844792545207495, 0.10073382716626152,
+        -0.009530183848825268, -0.019264421687514088, -0.001246463715876929,
+        0.0024243969641103086, 0.000437647697741857, -0.00020714032687001792,
+        -6.274344504186516e-05,
+    ),
+    (
+        0.00046483389361763383, -0.004022642946136188, 0.003847177051796127,
+        0.06581175135809486, -0.19604124343694448, -0.20854053686358853,
+        0.9507754185141751, 0.5341535312914873, -1.67634944117634,
+        -1.076747157875129, 1.235339301656597, 1.0257825340057276,
+        -0.40124095793988546, -0.5036663995108304, 0.03573487795502745,
+        0.14431763086785418, 0.01509152741790347, -0.026098874779194363,
+        -0.006126628379519262, 0.003077503129870841, 0.0011562478934088753,
+        -0.00022775966758472127,
+    ),
+)
 
 
 class WindowExhaustedError(NumericalDomainError):
@@ -220,6 +284,13 @@ def euler_product(s: complex, prime_limit: int) -> EvaluationResult:
     return result_from_log(log_z, err, len(p))
 
 
+def _check_zero_count(zeros: ZetaZeroTable, zero_count: int) -> None:
+    if zero_count < 0:
+        raise ValueError(f"zero_count must be >= 0, got {zero_count}")
+    if zero_count > len(zeros.ordinates):
+        raise ValueError(f"zero_count={zero_count} exceeds table size {len(zeros.ordinates)}")
+
+
 def hadamard_product(beta: complex, zeros: ZetaZeroTable, zero_count: int) -> EvaluationResult:
     """Zeta rebuilt from its zeros:
 
@@ -262,8 +333,7 @@ def hadamard_product_array(beta: np.ndarray, zeros: ZetaZeroTable, zero_count: i
     error estimate, which takes the zero-density heuristic for
     sum_{k>K} 1/gamma_k^2, plus the gamma factors' |beta|^3/48M^2.
     """
-    if zero_count < 0 or zero_count > len(zeros.ordinates):
-        raise ValueError(f"zero_count={zero_count} exceeds table size {len(zeros.ordinates)}")
+    _check_zero_count(zeros, zero_count)
     g = zeros._g[:zero_count]
     zero_scale = zeros._zero_scale[:zero_count]
     on_ordinate = np.zeros(beta.shape, dtype=bool)
@@ -314,14 +384,83 @@ def zeta_critical_line(t: float) -> complex:
     return zeta_em(complex(0.5, t), cutoff=_adaptive_cutoff(t)).value
 
 
-def riemann_siegel_theta(t: float) -> float:
-    return (log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * LOG_PI)
+def riemann_siegel_theta(t):
+    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) ln pi, of a float or an array."""
+    return loggamma(0.25 + 0.5j * t).imag - 0.5 * t * LOG_PI
 
 
 def hardy_z(t: float) -> float:
     """Real-valued on the critical line; its sign changes are the zeros."""
     return (cmath.exp(complex(0.0, riemann_siegel_theta(t)))
             * zeta_critical_line(t)).real
+
+
+def riemann_siegel_z(t: np.ndarray) -> np.ndarray:
+    """Hardy's Z on a 1-D array of t > 0 by the Riemann-Siegel formula:
+
+        2 sum_{n<=N} n^{-1/2} cos(theta(t) - t ln n)
+          + (-1)^(N-1) a^{-1/2} sum_{k=0}^{4} C_k(p) a^{-k},
+
+    a = sqrt(t/2pi), N = floor(a), p = a - N (Edwards, Riemann's Zeta
+    Function, ch. 7).  From t = 200 on, Gabcke's 0.017 t^(-11/4) bounds the
+    omitted remainder; _rs_margin adds the float rounding.  The C_k are the
+    committed polynomials in p - 1/2, by Horner's rule.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    a = np.sqrt(t / TWO_PI)
+    n_main = np.floor(a)
+    x = a - n_main - 0.5
+    x2 = x * x
+    theta = riemann_siegel_theta(t)
+    width = int(n_main.max(initial=0.0))
+    n = np.arange(1.0, width + 1.0)
+    log_n = np.log(n)
+    inv_sqrt_n = 1.0 / np.sqrt(n)
+    z = np.empty(t.shape)
+    for sl in node_chunks(t.size, width):
+        # one node x term temporary: the phases, then the terms in place
+        terms = t[sl, None] * log_n
+        np.subtract(theta[sl, None], terms, out=terms)
+        np.cos(terms, out=terms)
+        terms *= inv_sqrt_n
+        terms[n > n_main[sl, None]] = 0.0
+        z[sl] = 2.0 * terms.sum(axis=1)
+    corrections = 0.0
+    for k in reversed(range(len(_RS_CORRECTIONS))):
+        c_k = 0.0
+        for c in reversed(_RS_CORRECTIONS[k]):
+            c_k = c_k * x2 + c
+        corrections = corrections / a + (x * c_k if k % 2 else c_k)
+    return z + np.where(n_main % 2 == 1, 1.0, -1.0) * corrections / np.sqrt(a)
+
+
+def _rs_margin(t: np.ndarray) -> np.ndarray:
+    """Bound on |riemann_siegel_z(t) - hardy_z(t)| for t >= 200: Gabcke's
+    remainder bound plus 1e-14 t ln t for the rounding of the phases
+    theta - t ln n in both.  Against mpmath.siegelz on 400 points of
+    [200, 6e4], that rounding was at most 8e-16 t ln t in riemann_siegel_z
+    and 3e-16 t ln t in hardy_z."""
+    return 0.017 * t ** -2.75 + 1e-14 * t * np.log(t)
+
+
+def _certified_z(t: np.ndarray) -> np.ndarray:
+    """riemann_siegel_z(t) where its sign is certainly hardy_z's, NaN
+    elsewhere: below 200 and where |Z| is within _rs_margin of 0."""
+    z = np.full(t.shape, np.nan)
+    fast = t >= _RS_T_MIN
+    if fast.any():
+        z_rs = riemann_siegel_z(t[fast])
+        z[fast] = np.where(np.abs(z_rs) > _rs_margin(t[fast]), z_rs, np.nan)
+    return z
+
+
+def _scan_nodes():
+    """(t, z) over the scan nodes 2 + 0.25k: z is hardy_z(t) or a value of
+    the same sign, and hardy_z runs only on a node the caller reaches."""
+    for k in itertools.count(0, _SCAN_WINDOW):
+        t = 2.0 + _SCAN_STEP * np.arange(k, k + _SCAN_WINDOW, dtype=np.float64)
+        for tk, zk in zip(t.tolist(), _certified_z(t).tolist()):
+            yield tk, (hardy_z(tk) if math.isnan(zk) else zk)
 
 
 def _estimated_window(count: int) -> float:
@@ -342,12 +481,17 @@ def _verification_failure(ordinates, tol: float) -> str | None:
 
 
 def find_zeros(count: int, t_max: float | None = None) -> ZetaZeroTable:
-    """First `count` critical-line ordinates by scan + bisection on hardy_z.
+    """First `count` critical-line ordinates by scan + bisection on the sign of Z.
 
     Deterministic: fixed scan grid of step 0.25, fixed bisection depth
-    (|dt| < 1e-9); ArithmeticError unless every |zeta(1/2 + i gamma)| < 1e-8.
-    Raises WindowExhaustedError if t_max (given or estimated) is hit first;
-    the caller enlarges the window.  Known miss: two zeros in one scan cell
+    (|dt| < 1e-9); ArithmeticError unless every |zeta(1/2 + i gamma)| < 1e-8
+    by zeta_em.  Riemann-Siegel decides each sign where its error bound
+    certifies it (t >= 200, |Z| above the bound) and hardy_z decides the
+    rest, so every sign, and the table, is the one hardy_z alone gives.
+    The scan runs in windows of 1024 nodes and stops at the count-th sign
+    change; the brackets are then bisected together.  Raises
+    WindowExhaustedError if t_max (given or estimated) is hit first; the
+    caller enlarges the window.  Known miss: two zeros in one scan cell
     give no sign change, so both are skipped and every later index shifts.
     The first such pair is gamma_922/gamma_923 (t = 1329.04, 1329.21): the
     table is exact for count <= 921 only (a strict-xfail test pins this).
@@ -356,32 +500,39 @@ def find_zeros(count: int, t_max: float | None = None) -> ZetaZeroTable:
         raise ValueError(f"count must be >= 1, got {count}")
     if t_max is None:
         t_max = _estimated_window(count)
-    found: list[float] = []
-    t = 2.0
-    z_prev = hardy_z(t)
+    found: list[float] = []     # ordinates, NaN for a cell still to bisect
+    lo: list[float] = []        # each such cell's lower end ...
+    lo_negative: list[bool] = []  # ... and whether Z < 0 there
+    nodes = _scan_nodes()
+    t, z_prev = next(nodes)
     while len(found) < count and t < t_max:
-        t_next = t + _SCAN_STEP
-        z_next = hardy_z(t_next)
+        t_next, z_next = next(nodes)
         if z_prev == 0.0:
             found.append(t)
         elif z_next != 0.0 and (z_prev < 0) != (z_next < 0):
-            # lo keeps z_prev's sign and an exact zero at mid becomes hi; a
-            # zero exactly on t_next is appended at the next step instead
-            lo, hi = t, t_next
-            while hi - lo > 1e-9:
-                mid = 0.5 * (lo + hi)
-                zm = hardy_z(mid)
-                if zm == 0.0 or (zm < 0) != (z_prev < 0):
-                    hi = mid
-                else:
-                    lo = mid
-            found.append(0.5 * (lo + hi))
+            # a zero exactly on t_next is appended at the next step instead
+            found.append(math.nan)
+            lo.append(t)
+            lo_negative.append(z_prev < 0)
         t, z_prev = t_next, z_next
     if len(found) < count:
         raise WindowExhaustedError(
             f"found {len(found)} of {count} zeros below t_max={t_max}; "
             "enlarge the window", t_max=t_max, found=len(found))
-    ordinates = found[:count]
+    # lo keeps its end's sign and an exact zero at mid becomes hi
+    lo, lo_negative = np.array(lo), np.array(lo_negative, dtype=bool)
+    hi = lo + _SCAN_STEP
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        z = _certified_z(mid)
+        for i in np.flatnonzero(np.isnan(z)).tolist():
+            z[i] = hardy_z(mid[i].item())
+        to_hi = (z == 0.0) | ((z < 0) != lo_negative)
+        hi = np.where(to_hi, mid, hi)
+        lo = np.where(to_hi, lo, mid)
+    ordinates = np.array(found)
+    ordinates[np.isnan(ordinates)] = 0.5 * (lo + hi)
+    ordinates = ordinates.tolist()
     if failure := _verification_failure(ordinates, 1e-8):
         raise ArithmeticError(f"located {failure}")
     return ZetaZeroTable(tuple(ordinates))
@@ -462,8 +613,7 @@ def explicit_formula_psi(x: float, zeros: ZetaZeroTable,
     """
     if x <= 1.0:
         raise NumericalDomainError(f"explicit formula needs x > 1, got {x}")
-    if zero_count < 0 or zero_count > len(zeros.ordinates):
-        raise ValueError(f"zero_count={zero_count} exceeds table size {len(zeros.ordinates)}")
+    _check_zero_count(zeros, zero_count)
     if _is_near_prime_power(x):
         warnings.warn(f"x={x} is within 1e-6 of a prime power; psi jumps there",
                       DiscontinuityWarning, stacklevel=2)

@@ -703,6 +703,15 @@ def test_cli_zero_rule_is_one_for_every_command(tmp_path, capsys, zeros5, comman
         assert out.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("with_file", [True, False], ids=["zeros_file", "no_file"])
+def test_cli_negative_zero_count_exits_2(capsys, zeros5, with_file):
+    argv = ["zeta", "explicit", "--x", "20.5", "--zero-count", "-1"]
+    if with_file:
+        argv += ["--zeros-file", str(zeros5[1])]
+    assert cli_dispatch(argv) == 2
+    assert capsys.readouterr().err == "error: zero_count must be >= 0, got -1\n"
+
+
 def test_cli_numerical_failure_exits_2(monkeypatch, capsys):
     def failing_find_zeros(*args, **kwargs):
         raise ArithmeticError("located ordinate fails verification")

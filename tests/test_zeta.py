@@ -1,10 +1,14 @@
 import cmath
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_zeros import zeta
 from spectral_zeros.core import (
@@ -30,6 +34,7 @@ from spectral_zeros.zeta import (
     ingest_zeros_file,
     psi_direct,
     riemann_siegel_theta,
+    riemann_siegel_z,
     zeta_critical_line,
     zeta_em,
 )
@@ -231,15 +236,65 @@ def test_hardy_function_is_real_rotation():
 
 # mpmath 1.3.0 zetazero at dps 30, generated by perfbench/gen_reference.py
 _MPMATH_ZEROS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "zeta_zeros_1000.txt"
+_REFERENCE_ZEROS = [float(line) for line in _MPMATH_ZEROS.read_text().splitlines()
+                    if line and not line.startswith("#")]
+
+
+def _find_zeros_em_only(count):
+    # find_zeros as one sequential scan + bisection on hardy_z, no Riemann-Siegel
+    found = []
+    t = 2.0
+    z_prev = hardy_z(t)
+    while len(found) < count:
+        t_next = t + 0.25
+        z_next = hardy_z(t_next)
+        if z_prev == 0.0:
+            found.append(t)
+        elif z_next != 0.0 and (z_prev < 0) != (z_next < 0):
+            lo, hi = t, t_next
+            while hi - lo > 1e-9:
+                mid = 0.5 * (lo + hi)
+                zm = hardy_z(mid)
+                if zm == 0.0 or (zm < 0) != (z_prev < 0):
+                    hi = mid
+                else:
+                    lo = mid
+            found.append(0.5 * (lo + hi))
+        t, z_prev = t_next, z_next
+    return tuple(found)
+
+
+def test_find_zeros_matches_the_em_only_scan_across_t_rs():
+    # gamma_80 = 201.26 is the first zero above 200, where Riemann-Siegel starts
+    assert find_zeros(150).ordinates == _find_zeros_em_only(150)
+
+
+def test_find_zeros_stops_at_the_count_in_a_huge_window():
+    ordinates = find_zeros(3, t_max=1e7).ordinates
+    assert ordinates == find_zeros(3).ordinates
+    assert max(abs(a - b) for a, b in zip(ordinates, _REFERENCE_ZEROS)) < 1e-8
 
 
 @pytest.fixture(scope="module")
-def scanned_vs_mpmath():
-    # one 1000-zero scan (about 3 s) for both comparisons with the mpmath table
-    lines = _MPMATH_ZEROS.read_text().splitlines()
-    reference = [float(line) for line in lines if line and not line.startswith("#")]
-    assert len(reference) == 1000
-    return find_zeros(1000).ordinates, reference
+def scan_1000():
+    # one 1000-zero scan (about 0.5 s) for the mpmath comparisons and the call
+    # count; hardy_z is wrapped as find_zeros looks it up, by module attribute
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeta, "hardy_z", lambda t: calls.append(t) or hardy_z(t))
+        ordinates = find_zeros(1000).ordinates
+    return ordinates, len(calls)
+
+
+@pytest.fixture(scope="module")
+def scanned_vs_mpmath(scan_1000):
+    assert len(_REFERENCE_ZEROS) == 1000
+    return scan_1000[0], _REFERENCE_ZEROS
+
+
+def test_find_zeros_1000_keeps_the_fast_path(scan_1000):
+    # Euler-Maclaurin alone takes 33,681 hardy_z calls; Riemann-Siegel about 3,400
+    assert scan_1000[1] <= 6000
 
 
 def test_find_zeros_matches_mpmath_through_921(scanned_vs_mpmath):
@@ -252,6 +307,42 @@ def test_find_zeros_matches_mpmath_through_921(scanned_vs_mpmath):
 def test_find_zeros_matches_mpmath_through_1000(scanned_vs_mpmath):
     scanned, reference = scanned_vs_mpmath
     assert [k for k, (a, b) in enumerate(zip(scanned, reference)) if not abs(a - b) < 1e-8] == []
+
+
+# ---------------------------------------------------------- riemann-siegel
+
+def test_riemann_siegel_z_matches_mpmath_within_the_margin():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    t = np.concatenate([[200.0, 1500.0], np.random.default_rng(9).uniform(200.0, 1500.0, 40)])
+    oracle = np.array([float(mpmath.siegelz(x)) for x in t])
+    assert np.all(np.abs(riemann_siegel_z(t) - oracle) < zeta._rs_margin(t))
+
+
+def test_riemann_siegel_theta_is_one_formula_for_floats_and_arrays():
+    t = np.array([0.5, 14.1, 200.0, 1329.1, 1e6])
+    assert riemann_siegel_theta(t).tolist() == [riemann_siegel_theta(x) for x in t.tolist()]
+    assert riemann_siegel_theta(14.1) == log_gamma(complex(0.25, 7.05)).imag - 7.05 * math.log(math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.one_of(
+    st.floats(200.0, 1500.0),
+    # the zeros, where |Z| is near the margin and the sign goes to hardy_z
+    st.builds(lambda k, dt: _REFERENCE_ZEROS[k] + dt, st.integers(79, 999),
+              st.floats(-1e-9, 1e-9))))
+def test_riemann_siegel_certified_sign_is_the_sign_of_hardy_z(t):
+    z = zeta._certified_z(np.array([t]))[0]
+    if not math.isnan(z):
+        assert (z < 0) == (hardy_z(t) < 0) and hardy_z(t) != 0.0
+
+
+def test_riemann_siegel_coefficients_match_their_generator():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "gen_riemann_siegel_coefficients.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout in Path(zeta.__file__).read_text()
 
 
 # ------------------------------------------------------------------- ingest
@@ -339,6 +430,20 @@ def test_hadamard_zero_hit_names_the_ordinate(zeros100, k, sign):
 def test_hadamard_rejects_oversized_count(zeros100):
     with pytest.raises(ValueError):
         hadamard_product(2.0, zeros100, len(zeros100.ordinates) + 1)
+
+
+@pytest.mark.parametrize("zero_count, message", [
+    (-1, "zero_count must be >= 0, got -1"),
+    (101, "zero_count=101 exceeds table size 100"),
+])
+@pytest.mark.parametrize("route", [
+    lambda zeros, k: zeta.hadamard_product_array(np.array([2.0 + 0j]), zeros, k),
+    lambda zeros, k: explicit_formula_psi(20.5, zeros, k),
+], ids=["hadamard_product_array", "explicit_formula_psi"])
+def test_zero_count_out_of_range_names_its_bound(zeros100, route, zero_count, message):
+    with pytest.raises(ValueError) as exc:
+        route(zeros100, zero_count)
+    assert str(exc.value) == message
 
 
 # ------------------------------------------------------------ prime side
