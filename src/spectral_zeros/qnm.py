@@ -219,6 +219,13 @@ def conjectured_partition_log(z: complex, spec: QNMSpectrum) -> EvaluationResult
     return result_from_log(log_z[0], err[0], terms[0])
 
 
+def _split_factors(diff: np.ndarray, inv: np.ndarray):
+    """log|diff * inv| and (diff * inv) / |diff * inv|, neither taken from
+    the product, which may lie past the float range."""
+    diff_abs, inv_abs = np.abs(diff), np.abs(inv)
+    return np.log(diff_abs) + np.log(inv_abs), (diff / diff_abs) * (inv / inv_abs)
+
+
 def conjectured_partition_log_array(z: np.ndarray, spec: QNMSpectrum):
     """The product of conjectured_partition_log on a complex array of
     nodes: (log Z, flags, error_estimate, terms_used) per node.
@@ -245,6 +252,17 @@ def conjectured_partition_log_array(z: np.ndarray, spec: QNMSpectrum):
             # + 0.0 turns a -0.0 imaginary part into +0.0: a group product on
             # the negative real axis has the principal argument +pi
             log_z.imag[sl] = np.arctan2(f.imag + 0.0, f.real).sum(axis=1)
+        # a factor or a pair product past the float range leaves log|Z| +inf
+        # or NaN: at those nodes each factor (z* - z)(1/z*) enters split,
+        # as the log of each part's modulus and the product of their phases
+        over = np.flatnonzero(~(log_z.real < np.inf))
+        if over.size:
+            log_abs, phase = _split_factors(lead - z[over, None], lead_inv)
+            mate_log_abs, mate_phase = _split_factors(mate - z[over, None], mate_inv)
+            log_abs[:, :mate.size] += mate_log_abs
+            phase[:, :mate.size] *= mate_phase
+            log_z.real[over] = log_abs.sum(axis=1)
+            log_z.imag[over] = np.arctan2(phase.imag + 0.0, phase.real).sum(axis=1)
     log_z -= spec.euclidean_action
     flags = np.where(log_z.real < EXP_UNDERFLOW, "zero", "")
     return log_z, flags, np.zeros(z.shape), np.full(z.shape, len(spec.modes))

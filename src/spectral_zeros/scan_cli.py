@@ -395,7 +395,7 @@ def _cmd_zeta_compare(args) -> int:
 
 
 def _cmd_zeta_zeros(args) -> int:
-    table = find_zeros(args.count, t_max=args.t_max)
+    table = find_zeros(args.count)
     lines = [repr(g) for g in table.ordinates]
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n")
@@ -493,7 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     zz = zsub.add_parser("zeros", help="critical-line ordinates, one per line")
     zz.add_argument("--count", type=int, required=True)
-    zz.add_argument("--t-max", type=float, default=None)
     zz.add_argument("--out", default=None)
     zz.set_defaults(func=_cmd_zeta_zeros)
 
@@ -536,6 +535,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# float flags that must be finite, checked before any work like --region
+_FINITE_FLAGS = ("beta", "beta_im", "e0", "re", "im", "x", "delta")
+
+
 def cli_dispatch(argv: Sequence[str]) -> int:
     """Parse and run; 0 success, 1 usage error, 2 numerical/file error."""
     parser = _build_parser()
@@ -545,6 +548,10 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
+        for name in _FINITE_FLAGS:
+            value = getattr(args, name, None)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,18 +15,19 @@ routes are played against each other in the tests:
 find_zeros locates critical-line zeros as sign changes of the
 Hardy-type function Z(t) = Re[e^{i theta(t)} zeta(1/2+it)] with
 theta(t) = Im log Gamma(1/4 + it/2) - (t/2) ln pi, then bisects.  The
-Riemann-Siegel formula (riemann_siegel_z, ~sqrt(t/2pi) terms) decides
-the signs wherever its error bound certifies them; every other sign
-comes from hardy_z, the Euler-Maclaurin Z, so each sign, and with it
-the table, is the one hardy_z alone would give.  Euler-Maclaurin also
-verifies: every ordinate must pass |zeta(1/2 + i gamma_k)| < 1e-8 by
-zeta_em, whose adaptive rule cutoff >= 2|Im s| + 50 keeps that honest.
+scan is one array of signs over a window worked out from the count, and
+one function, _hardy_sign, gives every sign, in the scan and in the
+bisection: the Riemann-Siegel formula (riemann_siegel_z, ~sqrt(t/2pi)
+terms) wherever its error bound certifies the sign, hardy_z, the
+Euler-Maclaurin Z, everywhere else.  So each sign, and with it the table,
+is the one hardy_z alone would give.  Euler-Maclaurin also verifies:
+every ordinate must pass |zeta(1/2 + i gamma_k)| < 1e-8 by zeta_em,
+whose adaptive rule cutoff >= 2|Im s| + 50 keeps that honest.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -75,11 +76,9 @@ _TWO_N = 2.0 * np.arange(1, _GAMMA_FACTOR_TERMS + 1, dtype=np.float64)
 _TRIGAMMA_TAIL = float(polygamma(1, _GAMMA_FACTOR_TERMS + 1))
 _LINEAR = (EULER_GAMMA + LOG_PI) / 2.0 - math.fsum(1.0 / _TWO_N)
 
-# step of the critical-line sign scan in find_zeros, the scan nodes per
-# riemann_siegel_z call (256 in t), and the bisection rounds: 28 halvings
-# of a cell leave 0.25/2^28 < 1e-9 < 0.25/2^27
+# step of the critical-line sign scan in find_zeros and the bisection
+# rounds: 28 halvings of a cell leave 0.25/2^28 < 1e-9 < 0.25/2^27
 _SCAN_STEP = 0.25
-_SCAN_WINDOW = 1024
 _BISECTIONS = 28
 
 # Gabcke's bound 0.017 t^(-11/4) on the Riemann-Siegel remainder after
@@ -141,7 +140,8 @@ _RS_CORRECTIONS = (
 
 
 class WindowExhaustedError(NumericalDomainError):
-    """Zero scan ran out of window before finding the requested count."""
+    """The scan window, estimated from the count, held fewer zeros than
+    requested; t_max is that window and found the zeros below it."""
 
     def __init__(self, message: str, *, t_max: float, found: int):
         super().__init__(message)
@@ -443,24 +443,17 @@ def _rs_margin(t: np.ndarray) -> np.ndarray:
     return 0.017 * t ** -2.75 + 1e-14 * t * np.log(t)
 
 
-def _certified_z(t: np.ndarray) -> np.ndarray:
-    """riemann_siegel_z(t) where its sign is certainly hardy_z's, NaN
-    elsewhere: below 200 and where |Z| is within _rs_margin of 0."""
+def _hardy_sign(t: np.ndarray) -> np.ndarray:
+    """hardy_z on an array of t, or a value of the same sign:
+    riemann_siegel_z where _rs_margin certifies its sign (t >= 200 and |Z|
+    above the margin), the module-global hardy_z at every other node."""
     z = np.full(t.shape, np.nan)
     fast = t >= _RS_T_MIN
-    if fast.any():
-        z_rs = riemann_siegel_z(t[fast])
-        z[fast] = np.where(np.abs(z_rs) > _rs_margin(t[fast]), z_rs, np.nan)
+    z_rs = riemann_siegel_z(t[fast])
+    z[fast] = np.where(np.abs(z_rs) > _rs_margin(t[fast]), z_rs, np.nan)
+    for i in np.flatnonzero(np.isnan(z)).tolist():
+        z[i] = hardy_z(t[i].item())
     return z
-
-
-def _scan_nodes():
-    """(t, z) over the scan nodes 2 + 0.25k: z is hardy_z(t) or a value of
-    the same sign, and hardy_z runs only on a node the caller reaches."""
-    for k in itertools.count(0, _SCAN_WINDOW):
-        t = 2.0 + _SCAN_STEP * np.arange(k, k + _SCAN_WINDOW, dtype=np.float64)
-        for tk, zk in zip(t.tolist(), _certified_z(t).tolist()):
-            yield tk, (hardy_z(tk) if math.isnan(zk) else zk)
 
 
 def _estimated_window(count: int) -> float:
@@ -480,58 +473,46 @@ def _verification_failure(ordinates, tol: float) -> str | None:
     return None
 
 
-def find_zeros(count: int, t_max: float | None = None) -> ZetaZeroTable:
+def find_zeros(count: int) -> ZetaZeroTable:
     """First `count` critical-line ordinates by scan + bisection on the sign of Z.
 
-    Deterministic: fixed scan grid of step 0.25, fixed bisection depth
-    (|dt| < 1e-9); ArithmeticError unless every |zeta(1/2 + i gamma)| < 1e-8
-    by zeta_em.  Riemann-Siegel decides each sign where its error bound
-    certifies it (t >= 200, |Z| above the bound) and hardy_z decides the
-    rest, so every sign, and the table, is the one hardy_z alone gives.
-    The scan runs in windows of 1024 nodes and stops at the count-th sign
-    change; the brackets are then bisected together.  Raises
-    WindowExhaustedError if t_max (given or estimated) is hit first; the
-    caller enlarges the window.  Known miss: two zeros in one scan cell
+    Deterministic: _hardy_sign decides every sign on the nodes 2 + 0.25k
+    below _estimated_window(count), so each sign, and the table, is the
+    one hardy_z alone gives.  An event is a zero on a node or a sign change
+    into a nonzero node; the first `count` events are kept and their
+    brackets bisected together (|dt| < 1e-9).  ArithmeticError unless
+    every |zeta(1/2 + i gamma)| < 1e-8 by zeta_em; WindowExhaustedError if
+    the window holds fewer events.  Known miss: two zeros in one scan cell
     give no sign change, so both are skipped and every later index shifts.
     The first such pair is gamma_922/gamma_923 (t = 1329.04, 1329.21): the
     table is exact for count <= 921 only (a strict-xfail test pins this).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if t_max is None:
-        t_max = _estimated_window(count)
-    found: list[float] = []     # ordinates, NaN for a cell still to bisect
-    lo: list[float] = []        # each such cell's lower end ...
-    lo_negative: list[bool] = []  # ... and whether Z < 0 there
-    nodes = _scan_nodes()
-    t, z_prev = next(nodes)
-    while len(found) < count and t < t_max:
-        t_next, z_next = next(nodes)
-        if z_prev == 0.0:
-            found.append(t)
-        elif z_next != 0.0 and (z_prev < 0) != (z_next < 0):
-            # a zero exactly on t_next is appended at the next step instead
-            found.append(math.nan)
-            lo.append(t)
-            lo_negative.append(z_prev < 0)
-        t, z_prev = t_next, z_next
-    if len(found) < count:
+    window = _estimated_window(count)
+    t = 2.0 + _SCAN_STEP * np.arange(math.ceil((window - 2.0) / _SCAN_STEP), dtype=np.float64)
+    z = _hardy_sign(t)
+    on_node = z == 0.0
+    negative = z < 0
+    event = on_node.copy()
+    event[:-1] |= ~on_node[1:] & (negative[:-1] != negative[1:])
+    events = np.flatnonzero(event)[:count]
+    if events.size < count:
         raise WindowExhaustedError(
-            f"found {len(found)} of {count} zeros below t_max={t_max}; "
-            "enlarge the window", t_max=t_max, found=len(found))
-    # lo keeps its end's sign and an exact zero at mid becomes hi
-    lo, lo_negative = np.array(lo), np.array(lo_negative, dtype=bool)
+            f"found {events.size} of {count} zeros below the estimated window "
+            f"t={window}", t_max=window, found=int(events.size))
+    # each bracket's lo keeps its end's sign and an exact zero at mid becomes hi
+    cells = events[~on_node[events]]
+    lo, lo_negative = t[cells], negative[cells]
     hi = lo + _SCAN_STEP
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        z = _certified_z(mid)
-        for i in np.flatnonzero(np.isnan(z)).tolist():
-            z[i] = hardy_z(mid[i].item())
+        z = _hardy_sign(mid)
         to_hi = (z == 0.0) | ((z < 0) != lo_negative)
         hi = np.where(to_hi, mid, hi)
         lo = np.where(to_hi, lo, mid)
-    ordinates = np.array(found)
-    ordinates[np.isnan(ordinates)] = 0.5 * (lo + hi)
+    ordinates = t[events]
+    ordinates[~on_node[events]] = 0.5 * (lo + hi)
     ordinates = ordinates.tolist()
     if failure := _verification_failure(ordinates, 1e-8):
         raise ArithmeticError(f"located {failure}")

@@ -293,6 +293,16 @@ def test_conjectured_matches_per_call_reference(spec, reflection, data):
     assert got.terms_used == len(spec.modes) and got.error_estimate == 0.0
 
 
+@pytest.mark.parametrize("z", [2.0 ** 1022, complex(-2.0 ** 1023, 1.0), 1e200j],
+                         ids=["real_2^1022", "real_-2^1023", "imag_1e200"])
+def test_conjectured_past_the_float_range_matches_mpmath(z):
+    # a single factor and the pair products overflow; log Z stays finite
+    want, on_cut = _mp_conjectured(z, _MIRRORED)
+    _assert_log_matches(conjectured_partition_log(z, _MIRRORED).log_value, want, z, on_cut)
+    _, flags, _, _ = conjectured_partition_log_array(np.array([z]), _MIRRORED)
+    assert flags.tolist() == [""]
+
+
 @pytest.mark.parametrize("reflection", [True, False], ids=["paired", "unpaired"])
 def test_conjectured_mode_hits_name_the_mode(reflection):
     spec = _MIRRORED if reflection else dataclasses.replace(_MIRRORED, symmetry="none")

@@ -490,6 +490,7 @@ _HEAVY = QNMSpectrum(modes=(0.5 - 1j, -0.5 - 1j), temperature=1.0, euclidean_act
 @example(case=(_UNPAIRED, ((-1.0, 1.0, -1.0, 1.0), (9, 9))))
 @example(case=(_UNPAIRED, ((2.0 ** 400, 2.0 ** 401, -1.0, 1.0), (3, 3))))  # log|Z| > 745
 @example(case=(_HEAVY, ((-1.0, 1.0, -1.0, 1.0), (3, 3))))          # log|Z| < -745
+@example(case=(_PAIRED, ((2.0 ** 1022, 2.0 ** 1023, -1.0, 1.0), (2, 3))))  # factors > 1e308
 def test_qnm_scan_matches_scalar(case):
     spec, grid = case
     _assert_scan_matches_oracle("qnm_conjectured", *grid, {"spectrum": spec},
@@ -630,22 +631,39 @@ _INF_ZERO = "14.134725141734694\n21.022039638771555\ninf\n"
 _GRID = ["--region", "-1", "1", "-1", "1", "--cols", "4", "--rows", "4"]
 
 
-@pytest.mark.parametrize("text, argv", [
-    (_NAN_MODE, ["qnm", "scan", "--spectrum", "FILE", *_GRID]),
-    (_NAN_MODE, ["qnm", "fit", "--spectrum", "FILE"]),
-    (_NAN_MODE, ["qnm", "oneloop", "--spectrum", "FILE"]),
-    (_NAN_ACTION, ["qnm", "scan", "--spectrum", "FILE", *_GRID]),
-    ('{"modes": [[1.0, -1.0]], "temperature": Infinity}', ["qnm", "oneloop", "--spectrum", "FILE"]),
+_SPECTRUM = '{"modes": [[1.0, -1.0]], "temperature": 1.0}'
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (_NAN_MODE, ["qnm", "scan", "--spectrum", "FILE", *_GRID], "FILE"),
+    (_NAN_MODE, ["qnm", "fit", "--spectrum", "FILE"], "FILE"),
+    (_NAN_MODE, ["qnm", "oneloop", "--spectrum", "FILE"], "FILE"),
+    (_NAN_ACTION, ["qnm", "scan", "--spectrum", "FILE", *_GRID], "FILE"),
+    ('{"modes": [[1.0, -1.0]], "temperature": Infinity}', ["qnm", "oneloop", "--spectrum", "FILE"],
+     "FILE"),
     ('{"modes": [[1.0, -1.0]], "temperature": 1.0, "pol": [1.0, -Infinity]}',
-     ["qnm", "oneloop", "--spectrum", "FILE"]),
-    (_INF_ZERO, ["zeta", "explicit", "--x", "20", "--zeros-file", "FILE"]),
-    (_INF_ZERO, ["scan", "--evaluator", "zeta_hadamard", "--zeros-file", "FILE", *_GRID]),
-    (None, ["scan", "--evaluator", "zeta_em", "--region", "0", "inf", "0", "1"]),
-    (None, ["scan", "--evaluator", "zeta_em", "--region", "0", "1", "nan", "1"]),
+     ["qnm", "oneloop", "--spectrum", "FILE"], "FILE"),
+    (_INF_ZERO, ["zeta", "explicit", "--x", "20", "--zeros-file", "FILE"], "FILE"),
+    (_INF_ZERO, ["scan", "--evaluator", "zeta_hadamard", "--zeros-file", "FILE", *_GRID], "FILE"),
+    (None, ["scan", "--evaluator", "zeta_em", "--region", "0", "inf", "0", "1"],
+     "scan region must be finite"),
+    (None, ["scan", "--evaluator", "zeta_em", "--region", "0", "1", "nan", "1"],
+     "scan region must be finite"),
+    (None, ["oscillator", "--beta", "nan"], "--beta must be finite, got nan"),
+    (None, ["oscillator", "--beta-im", "inf"], "--beta-im must be finite, got inf"),
+    (None, ["oscillator", "--e0", "nan"], "--e0 must be finite, got nan"),
+    (None, ["scan", "--evaluator", "oscillator_closed", "--e0", "inf", *_GRID],
+     "--e0 must be finite, got inf"),
+    (None, ["zeta", "compare", "--re", "nan"], "--re must be finite, got nan"),
+    (None, ["zeta", "compare", "--im", "inf"], "--im must be finite, got inf"),
+    (None, ["zeta", "explicit", "--x", "inf"], "--x must be finite, got inf"),
+    (_SPECTRUM, ["qnm", "oneloop", "--spectrum", "FILE", "--delta", "nan"],
+     "--delta must be finite, got nan"),
 ], ids=["nan_mode_scan", "nan_mode_fit", "nan_mode_oneloop", "nan_action_scan",
         "inf_temperature", "inf_pol", "inf_zero_explicit", "inf_zero_scan",
-        "inf_region", "nan_region"])
-def test_cli_non_finite_input_exits_2(tmp_path, capsys, text, argv):
+        "inf_region", "nan_region", "nan_beta", "inf_beta_im", "nan_e0", "inf_scan_e0",
+        "nan_re", "inf_im", "inf_x", "nan_delta"])
+def test_cli_non_finite_input_exits_2(tmp_path, capsys, text, argv, message):
     f = tmp_path / "input.txt"
     if text is not None:
         f.write_text(text)
@@ -655,7 +673,7 @@ def test_cli_non_finite_input_exits_2(tmp_path, capsys, text, argv):
         assert cli_dispatch(argv + ["--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert (str(f) if text is not None else "scan region must be finite") in err
+    assert (str(f) if message == "FILE" else message) in err
 
 
 @pytest.fixture(scope="module")
