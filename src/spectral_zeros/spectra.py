@@ -104,10 +104,11 @@ def energy_level(spec: Spectrum, n: int) -> float:
 
 def _require_convergent(spec: Spectrum, beta: complex) -> None:
     if spec.kind in ("oscillator", "affine"):
-        if not beta.real * spec.gap > 0:
+        # Re(beta)*gap first: a negative one would overflow exp
+        if not (beta.real * spec.gap > 0 and math.exp(-beta.real * spec.gap) < 1):
             raise DivergenceDomainError(
-                f"Boltzmann sum diverges for Re(beta)*gap = {beta.real * spec.gap} <= 0",
-                abscissa=0.0)
+                "Boltzmann sum needs Re(beta)*gap > 0 and e^(-Re(beta)*gap) < 1 in floats, "
+                f"got Re(beta)*gap = {beta.real * spec.gap}", abscissa=0.0)
     elif spec.kind == "primon":
         if not beta.real > 1:
             raise DivergenceDomainError(

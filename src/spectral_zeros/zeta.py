@@ -85,58 +85,37 @@ _BISECTIONS = 28
 # C_4 holds from here on
 _RS_T_MIN = 200.0
 
-# Riemann-Siegel corrections C_0..C_4 about p = 1/2: with x = p - 1/2,
-# C_k = x^(k mod 2) * sum_j c_j x^(2j).  Written by
-# scripts/gen_riemann_siegel_coefficients.py; a tier-1 test reruns it.
-_RS_CORRECTIONS = (
-    (
-        0.3826834323650898, 1.7489618723100817, 2.118025207685496,
-        -0.8707216670511481, -3.4733112243465167, -1.6626947308999325,
-        1.216731288919232, 1.3014304161007977, 0.03051102182736167,
-        -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
-        0.029999480619902277, -0.0022759396706125644, -0.004382647416580339,
-        -0.0004064230183729847, 0.0004006097785422114, 8.971057991388841e-05,
-        -2.3025650027239108e-05, -9.380006601906792e-06,
-    ),
-    (
-        -0.053650205256750697, 0.11027818741081483, 1.2317200154315227,
-        1.2634964862799458, -1.695108997559503, -2.9998711967650102,
-        -0.10819944959899208, 1.9407662946212714, 0.7838423561500687,
-        -0.5054829667900366, -0.38450723496057976, 0.03747264646531532,
-        0.09092026610973176, 0.01044923755006451, -0.012582979651583417,
-        -0.003399503721151274, 0.0010410950537714891, 0.0005010949051118486,
-        -3.956359669003182e-05, -4.7624592453571896e-05,
-    ),
-    (
-        0.005188542830293168, 0.0012378633552253898, -0.18137505725166997,
-        0.14291492748532125, 1.3303391766687565, 0.3522472353403734,
-        -2.421001595891951, -1.6760787022538108, 1.3689416723328371,
-        1.5539019430222982, -0.1722164273472998, -0.6359068055045431,
-        -0.09911649873041208, 0.14033480067387008, 0.04782352019827292,
-        -0.017356040641479782, -0.010225012534028593, 0.0009274149159794888,
-        0.0013572194372373386, 6.41369012029388e-05, -0.0001230080569819663,
-    ),
-    (
-        -0.0026794321814389136, 0.02995372109103515, -0.042570172541828696,
-        -0.28997965779803886, 0.4888831999235446, 1.230855876395746,
-        -0.8297560708527408, -2.249763536666567, 0.07845139961005472,
-        1.7467492800868893, 0.45968080979749937, -0.6619353471039775,
-        -0.31590441036173633, 0.12844792545207495, 0.10073382716626152,
-        -0.009530183848825268, -0.019264421687514088, -0.001246463715876929,
-        0.0024243969641103086, 0.000437647697741857, -0.00020714032687001792,
-        -6.274344504186516e-05,
-    ),
-    (
-        0.00046483389361763383, -0.004022642946136188, 0.003847177051796127,
-        0.06581175135809486, -0.19604124343694448, -0.20854053686358853,
-        0.9507754185141751, 0.5341535312914873, -1.67634944117634,
-        -1.076747157875129, 1.235339301656597, 1.0257825340057276,
-        -0.40124095793988546, -0.5036663995108304, 0.03573487795502745,
-        0.14431763086785418, 0.01509152741790347, -0.026098874779194363,
-        -0.006126628379519262, 0.003077503129870841, 0.0011562478934088753,
-        -0.00022775966758472127,
-    ),
-)
+
+def _rs_corrections() -> tuple[tuple[float, ...], ...]:
+    """Riemann-Siegel corrections C_0..C_4 by Edwards' formulas (Riemann's
+    Zeta Function, 1974, sec. 7.4), sums of w Psi^(m) for the entire function
+    Psi(1/2 + x) = cos(2pi(x^2 - 5/16)) / cos(2pi(x + 1/2)), even in x = p - 1/2.
+    So C_k = x^(k mod 2) sum_j c_j x^(2j); the c_j are kept while
+    |c_j| 4^-j >= 1e-17, their largest size on |x| <= 1/2.  Psi's Taylor
+    coefficients come from a 256-point Cauchy sum on |x| = 1.
+    """
+    x = np.exp(2j * math.pi * np.arange(256) / 256)
+    psi = np.cos(2.0 * math.pi * (x * x - 5.0 / 16.0)) / np.cos(2.0 * math.pi * (x + 0.5))
+    d = [np.fft.fft(psi).real / 256]                  # Psi, Psi', ..., Psi^(12)
+    for _ in range(12):
+        d.append(d[-1][1:] * np.arange(1.0, d[-1].size))
+    q = 1.0 / math.pi ** 2
+    # (w, m) per term.  The Psi^(12) weight is 1/(2^23 3^5 pi^8), like the
+    # leading terms of C_1..C_3 a power of 1/(96 pi^2) over a factorial; the
+    # often-quoted 1/(2^23 3^6 pi^8) leaves Z off by up to 2.3 t^(-11/4)
+    edwards = (((1.0, 0),), ((-q / 96, 3),), ((q / 64, 2), (q * q / 18432, 6)),
+               ((-q / 64, 1), (-q * q / 3840, 5), (-q ** 3 / 5308416, 9)),
+               ((q / 128, 0), (19 * q * q / 24576, 4), (11 * q ** 3 / 5898240, 8),
+                (q ** 4 / 2038431744, 12)))
+    corrections = []
+    for k, combo in enumerate(edwards):
+        c = sum(w * d[m][:d[-1].size] for w, m in combo)[k % 2::2]
+        small = np.abs(c) * 4.0 ** -np.arange(c.size) < 1e-17
+        corrections.append(tuple(c[:np.flatnonzero(small)[0]].tolist()))
+    return tuple(corrections)
+
+
+_RS_CORRECTIONS = _rs_corrections()
 
 
 class WindowExhaustedError(NumericalDomainError):
@@ -403,8 +382,8 @@ def riemann_siegel_z(t: np.ndarray) -> np.ndarray:
 
     a = sqrt(t/2pi), N = floor(a), p = a - N (Edwards, Riemann's Zeta
     Function, ch. 7).  From t = 200 on, Gabcke's 0.017 t^(-11/4) bounds the
-    omitted remainder; _rs_margin adds the float rounding.  The C_k are the
-    committed polynomials in p - 1/2, by Horner's rule.
+    omitted remainder; _rs_margin adds the float rounding.  The C_k are
+    _rs_corrections' polynomials in p - 1/2, by Horner's rule.
     """
     t = np.asarray(t, dtype=np.float64)
     a = np.sqrt(t / TWO_PI)

@@ -652,6 +652,9 @@ _SPECTRUM = '{"modes": [[1.0, -1.0]], "temperature": 1.0}'
     (None, ["oscillator", "--beta", "nan"], "--beta must be finite, got nan"),
     (None, ["oscillator", "--beta-im", "inf"], "--beta-im must be finite, got inf"),
     (None, ["oscillator", "--e0", "nan"], "--e0 must be finite, got nan"),
+    # e^(-beta) rounds to 1 at 1e-17, where the direct sum's tail is undefined
+    (None, ["oscillator", "--beta", "1e-17"], "got Re(beta)*gap = 1e-17"),
+    (None, ["oscillator", "--beta", "1e-15"], "closed form has a pole at beta*gap = 2*pi*i*0"),
     (None, ["scan", "--evaluator", "oscillator_closed", "--e0", "inf", *_GRID],
      "--e0 must be finite, got inf"),
     (None, ["zeta", "compare", "--re", "nan"], "--re must be finite, got nan"),
@@ -661,7 +664,8 @@ _SPECTRUM = '{"modes": [[1.0, -1.0]], "temperature": 1.0}'
      "--delta must be finite, got nan"),
 ], ids=["nan_mode_scan", "nan_mode_fit", "nan_mode_oneloop", "nan_action_scan",
         "inf_temperature", "inf_pol", "inf_zero_explicit", "inf_zero_scan",
-        "inf_region", "nan_region", "nan_beta", "inf_beta_im", "nan_e0", "inf_scan_e0",
+        "inf_region", "nan_region", "nan_beta", "inf_beta_im", "nan_e0", "tiny_beta",
+        "small_beta", "inf_scan_e0",
         "nan_re", "inf_im", "inf_x", "nan_delta"])
 def test_cli_non_finite_input_exits_2(tmp_path, capsys, text, argv, message):
     f = tmp_path / "input.txt"

@@ -116,10 +116,17 @@ def test_affine_offset_factors_out(a, g, beta):
 
 
 def test_divergence_outside_half_plane():
-    with pytest.raises(DivergenceDomainError):
-        partition_direct(oscillator(1.0), -0.5)
-    with pytest.raises(DivergenceDomainError):
-        partition_direct(affine(0.0, 1.0), complex(0.0, 3.0))
+    # at Re(beta)*gap = 1e-17 the ratio e^(-beta) rounds to 1, where neither
+    # tail is defined; at 1e-15 it does not, and the sum still answers
+    for spec, beta in [(oscillator(1.0), -0.5), (affine(0.0, 1.0), complex(0.0, 3.0)),
+                       (oscillator(1.0), 1e-17), (oscillator(1.0), complex(1e-17, 2.0))]:
+        for tail in ("none", "geometric"):
+            with pytest.raises(DivergenceDomainError) as exc:
+                partition_direct(spec, beta, tail=tail)
+            assert "Re(beta)*gap = " in str(exc.value) and "\n" not in str(exc.value)
+    r = partition_direct(oscillator(1.0), 1e-15)
+    assert r.value == pytest.approx(1000.0, rel=1e-12)
+    assert r.error_estimate == pytest.approx(1.000799917192443e15, rel=1e-12)
 
 
 def test_primon_divergence_names_abscissa():
