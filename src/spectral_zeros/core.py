@@ -1,14 +1,14 @@
 """Shared numerical kernels.
 
 The result and signal types every route returns or raises, the
-pole-lattice test, and the principal-branch complex log-gamma on which
+pole-lattice mask, and the principal-branch complex log-gamma on which
 the QNM gamma towers are built: scipy's loggamma behind a pole check.
 
-Every product and closed form is one array kernel over nodes, and its
-scalar is a one-node call.  The kernels share three helpers: node
-chunks that bound every node x factor temporary to CHUNK_ELEMENTS, the
-pole-lattice mask, and the per-node error estimate |Z| * (error of
-log Z) taken in the log domain.
+Every product and closed form is one array kernel over nodes whose only
+status signal is log Z = +inf at a pole, Re log Z = -inf at a zero; its
+scalar is a one-node call.  The kernels share three helpers: node chunks
+bounding every node x factor temporary to CHUNK_ELEMENTS, the pole-lattice
+mask, and the per-node error estimate |Z| * (error of log Z) in log domain.
 
 All functions are pure; nothing here holds mutable state.
 """
@@ -29,7 +29,7 @@ HALF_LOG_TWO_PI = 0.5 * math.log(TWO_PI)
 EXP_OVERFLOW = 709.0
 
 # Smallest x with exp(x) > 0 in IEEE double: below it result_from_log's
-# value is exactly 0, which array kernels flag as a zero.
+# value is exactly 0, and grid_scan flags a node with Re log Z below it.
 EXP_UNDERFLOW = -745.1332191019411
 
 # Node x factor elements one temporary of an array kernel may hold (2^15
@@ -66,7 +66,7 @@ class DivergenceDomainError(NumericalDomainError):
 class ZeroFactorSignal(NumericalDomainError):
     """A product factor is exactly zero; carries the factor index.
 
-    No route raises it any more (the kernels flag such nodes as zeros);
+    No route raises it any more (a kernel gives such a node log Z = -inf);
     it stays for callers that catch every signal by name."""
 
     def __init__(self, index: int, message: str | None = None):
@@ -101,16 +101,10 @@ class AccuracyWarning(UserWarning):
     """Requested point lies outside the validated accuracy window."""
 
 
-def lattice_pole_index(x: complex) -> int | None:
-    """k when x is within 1e-12 of the pole 2 pi i k, otherwise None: the
-    domain check of every closed form or product with poles on 2 pi i Z."""
-    k = round(x.imag / TWO_PI)
-    return k if abs(x - complex(0.0, TWO_PI * k)) < 1e-12 else None
-
-
 def lattice_pole_mask(x_re: np.ndarray, x_im: np.ndarray) -> np.ndarray:
-    """Array twin of lattice_pole_index: True where x is within 1e-12 of a
-    pole 2 pi i k (np.rint and np.hypot round as round and abs(complex))."""
+    """True where x is within 1e-12 of a pole 2 pi i k, k = rint(Im x / 2 pi):
+    the domain check of every closed form or product with poles on 2 pi i Z
+    (np.rint rounds as round, so a scalar's k is round(Im x / 2 pi))."""
     k = np.rint(x_im / TWO_PI)
     return np.hypot(x_re, x_im - TWO_PI * k) < 1e-12
 

@@ -32,11 +32,9 @@ import numpy as np
 from scipy.special import polygamma
 
 from .core import (
-    EXP_UNDERFLOW,
     EvaluationResult,
     PoleError,
     TWO_PI,
-    lattice_pole_index,
     lattice_pole_mask,
     node_chunks,
     result_from_log,
@@ -78,10 +76,10 @@ def pole_product_oscillator(beta: complex, e0: float, n_factors: int = 1000,
     raises PoleError carrying k on the lattice beta E0 = 2 pi i k.
     """
     beta = complex(beta)
-    log_z, flags, err, terms = pole_product_oscillator_array(
+    log_z, err, terms = pole_product_oscillator_array(
         np.array([beta]), e0, n_factors, tail_correction)
-    if flags[0] == "pole":
-        k = lattice_pole_index(beta * e0)
+    if log_z[0] == math.inf:
+        k = round((beta * e0).imag / TWO_PI)
         raise PoleError(f"pole of the product at beta*E0 = 2*pi*i*{k}",
                         location=beta, nearest=k)
     return result_from_log(log_z[0], err[0], terms[0])
@@ -98,11 +96,11 @@ def _aligned_empty(shape) -> np.ndarray:
 def pole_product_oscillator_array(beta: np.ndarray, e0: float, n_factors: int = 1000,
                                   tail_correction: bool = True):
     """The pole product of pole_product_oscillator on a complex array of
-    nodes: (log Z, flags, error_estimate, terms_used) per node.
+    nodes: (log Z, error_estimate, terms_used) per node.
 
-    Flags are "pole" on the lattice, "zero" where exp(log Z) underflows
-    to 0, else "".  The error estimate is |Z| times the error of log Z,
-    |c|^2/6N^3 with the tail term and |c trigamma(N+1)| without it.
+    log Z is +inf on the lattice.  The error estimate is |Z| times the
+    error of log Z, |c|^2/6N^3 with the tail term and |c trigamma(N+1)|
+    without it.
     """
     if not e0 > 0:
         raise ValueError(f"oscillator quantum must be positive, got {e0}")
@@ -149,9 +147,8 @@ def pole_product_oscillator_array(beta: np.ndarray, e0: float, n_factors: int = 
         else:
             log_err = log_c + math.log(trigamma)
         error = scaled_error(log_z.real, log_err)
-    flags = np.where(log_z.real < EXP_UNDERFLOW, "zero", "")
-    flags[lattice_pole_mask(x_re, x_im)] = "pole"
-    return log_z, flags, error, np.full(beta.shape, n_factors)
+    log_z[lattice_pole_mask(x_re, x_im)] = np.inf
+    return log_z, error, np.full(beta.shape, n_factors)
 
 
 def pole_product_oscillator_naive(beta: complex, e0: float,
@@ -167,8 +164,8 @@ def pole_product_oscillator_naive(beta: complex, e0: float,
     if not e0 > 0:
         raise ValueError(f"oscillator quantum must be positive, got {e0}")
     x = complex(beta) * e0
-    k = lattice_pole_index(x)
-    if k is not None:
+    if lattice_pole_mask(x.real, x.imag):
+        k = round(x.imag / TWO_PI)
         raise PoleError(f"pole at beta*E0 = 2*pi*i*{k}",
                         location=complex(beta), nearest=k)
     c = x * x / FOUR_PI_SQ

@@ -37,7 +37,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    EXP_UNDERFLOW,
     EvaluationResult,
     HALF_LOG_TWO_PI,
     NumericalDomainError,
@@ -212,7 +211,7 @@ def conjectured_partition_log(z: complex, spec: QNMSpectrum) -> EvaluationResult
     conjecture's testable content is that Z vanishes there.
     """
     z = complex(z)
-    log_z, _, err, terms = conjectured_partition_log_array(np.array([z]), spec)
+    log_z, err, terms = conjectured_partition_log_array(np.array([z]), spec)
     if log_z[0].real == -math.inf:
         raise ZeroHitSignal(f"evaluation point {z} is a zero of the product",
                             index=int(np.argmin(np.abs(spec._modes - z))), location=z)
@@ -228,14 +227,14 @@ def _split_factors(diff: np.ndarray, inv: np.ndarray):
 
 def conjectured_partition_log_array(z: np.ndarray, spec: QNMSpectrum):
     """The product of conjectured_partition_log on a complex array of
-    nodes: (log Z, flags, error_estimate, terms_used) per node.
+    nodes: (log Z, error_estimate, terms_used) per node.
 
     Each group (a mode with its mirror under reflection symmetry, else a
     mode alone) enters with the principal log of its product.  A factor
     1 - z/z* is formed as (z* - z) (1/z*), exactly 0 on a mode, so a
-    mode hit has log -inf.  Flags are "zero" where exp(log Z) underflows to 0,
-    which includes every mode, else "".  The product is finite, so the
-    error estimate is 0 and every mode is a term.
+    mode hit, like a group product that underflows to 0, has Re log Z =
+    -inf.  The product is finite, so the error estimate is 0 and every
+    mode is a term.
     """
     lead, mate = spec._groups
     lead_inv, mate_inv = 1.0 / lead, 1.0 / mate
@@ -264,8 +263,7 @@ def conjectured_partition_log_array(z: np.ndarray, spec: QNMSpectrum):
             log_z.real[over] = log_abs.sum(axis=1)
             log_z.imag[over] = np.arctan2(phase.imag + 0.0, phase.real).sum(axis=1)
     log_z -= spec.euclidean_action
-    flags = np.where(log_z.real < EXP_UNDERFLOW, "zero", "")
-    return log_z, flags, np.zeros(z.shape), np.full(z.shape, len(spec.modes))
+    return log_z, np.zeros(z.shape), np.full(z.shape, len(spec.modes))
 
 
 class SpacingFit(NamedTuple):

@@ -1,8 +1,8 @@
 """Complex-plane grid scans and the command-line surface.
 
 A grid scan drives one of the named evaluators over a rectangle of the
-complex plane and records log|Z| and arg Z per node; pole and zero hits
-become flags on the node instead of propagating as errors.  Scans feed
+complex plane and records log|Z| and arg Z per node; a pole or zero, an
+infinite log Z from the evaluator, becomes a flag on the node.  Scans feed
 three writers (CSV table, JSON document, PGM heatmap) meant for offline
 plotting.  The whole grid is evaluated as one array: each evaluator is
 the array kernel behind a library function (the function itself is a
@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .core import TWO_PI
+from .core import EXP_UNDERFLOW, TWO_PI
 from .product_forms import pole_product_oscillator, pole_product_oscillator_array
 from .qnm import (
     QNMSpectrum,
@@ -112,11 +112,11 @@ class GridScan:
 # ----------------------------------------------------------------- evaluators
 
 # Each builder binds its keyword parameters, with their defaults, to an
-# array evaluator: a complex array of nodes -> (log Z, flags), flags ""
-# / "zero" / "pole" per node (a product kernel's error estimates and term
-# counts are dropped).  The closures look up the array kernels as module
-# globals at call time, so a name replaced in this module (to trace or
-# count calls) is seen by every later scan.
+# array evaluator: a complex array of nodes -> log Z per node, +inf at a
+# pole and Re -inf at a zero the kernel detects (a product kernel's error
+# estimates and term counts are dropped).  The closures look up the array
+# kernels as module globals at call time, so a name replaced in this
+# module (to trace or count calls) is seen by every later scan.
 
 def _oscillator_closed(e0=1.0):
     spec = oscillator(float(e0))
@@ -125,7 +125,7 @@ def _oscillator_closed(e0=1.0):
 
 def _oscillator_product(e0=1.0, n_factors=1000):
     e0, n_factors = float(e0), int(n_factors)
-    return lambda z: pole_product_oscillator_array(z, e0, n_factors)[:2]
+    return lambda z: pole_product_oscillator_array(z, e0, n_factors)[0]
 
 
 def _zeta_em(cutoff=None):
@@ -149,7 +149,7 @@ def _zero_table(zeros, zero_count):
 
 def _zeta_hadamard(zeros=None, zero_count=None):
     zeros, k = _zero_table(zeros, zero_count)
-    return lambda z: hadamard_product_array(z, zeros, k)[:2]
+    return lambda z: hadamard_product_array(z, zeros, k)[0]
 
 
 def _qnm_conjectured(spectrum=None):
@@ -157,7 +157,7 @@ def _qnm_conjectured(spectrum=None):
         raise ValueError("qnm_conjectured needs a spectrum (QNMSpectrum or file path)")
     if not isinstance(spectrum, QNMSpectrum):
         spectrum = load_qnm_file(spectrum)
-    return lambda z: conjectured_partition_log_array(z, spectrum)[:2]
+    return lambda z: conjectured_partition_log_array(z, spectrum)[0]
 
 
 _EVALUATORS = {
@@ -169,13 +169,13 @@ _EVALUATORS = {
 }
 
 
-def make_evaluator(name: str, **params) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def make_evaluator(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
     """Bind a named evaluator and its parameters to an array evaluator.
 
     The evaluator takes a complex array of nodes and returns the complex
-    log Z of each node and its flag ("", "zero" or "pole"); grid_scan
-    normalizes both.  Unknown names and leftover parameters raise
-    ValueError before any setup work (zero finding, file loading) is done.
+    log Z of each node (+inf at a pole, real part -inf at a zero), which
+    grid_scan flags and normalizes.  Unknown names and leftover parameters
+    raise ValueError before any setup work (zero finding, file loading) is done.
     """
     builder = _EVALUATORS.get(name)
     if builder is None:
@@ -192,10 +192,10 @@ def grid_scan(evaluator: str, region: Region, resolution: Resolution,
 
     The whole grid goes to the evaluator as one array (its kernel works
     through it in chunks of bounded memory), and one normalization
-    follows: flagged nodes get log_abs +-745 and arg 0, an unflagged node
-    with a non-finite log is flagged as a pole, log_abs is clamped to
-    +-745 and arg reduced to its principal value.  Identical calls give
-    identical arrays.
+    follows, the one place flags are written: a node with Re log Z below
+    EXP_UNDERFLOW is a "zero", any other non-finite log Z a "pole".  Flagged
+    nodes get log_abs +-745 and arg 0; log_abs is clamped to +-745 and arg
+    reduced to its principal value.  Identical calls give identical arrays.
     """
     region = tuple(float(x) for x in region)
     resolution = tuple(int(n) for n in resolution)
@@ -205,20 +205,20 @@ def grid_scan(evaluator: str, region: Region, resolution: Resolution,
     cols, rows = resolution
     z = np.empty((rows, cols), dtype=complex)
     z.real, z.imag = np.linspace(re_min, re_max, cols), np.linspace(im_min, im_max, rows)[:, None]
-    log_z, flags = fn(z.ravel())
+    log_z = fn(z.ravel())
     # in place from here on: a whole-grid temporary is as large as the scan
     del z
-    flags[(flags == "") & ~np.isfinite(log_z)] = "pole"
+    zero = log_z.real < EXP_UNDERFLOW
+    pole = ~zero & ~np.isfinite(log_z)
     log_abs = np.clip(log_z.real, -LOG_CLAMP, LOG_CLAMP)
     arg = np.fmod(log_z.imag, TWO_PI)       # exact, as is the one shift by 2 pi below
     del log_z
     arg[arg > math.pi] -= TWO_PI
     arg[arg < -math.pi] += TWO_PI
-    zero, pole = flags == "zero", flags == "pole"
     log_abs[zero], log_abs[pole] = -LOG_CLAMP, LOG_CLAMP
     arg[zero | pole] = 0.0
     return GridScan(region=region, resolution=resolution, log_abs=log_abs, arg=arg,
-                    flags=flags)
+                    flags=np.where(zero, "zero", np.where(pole, "pole", "")))
 
 
 # ------------------------------------------------------------------- locators
@@ -540,7 +540,7 @@ _FINITE_FLAGS = ("beta", "beta_im", "e0", "re", "im", "x", "delta")
 
 
 def cli_dispatch(argv: Sequence[str]) -> int:
-    """Parse and run; 0 success, 1 usage error, 2 numerical/file error."""
+    """Parse and run; 0 success, 1 usage error, 2 numerical, file or memory error."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -553,7 +553,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

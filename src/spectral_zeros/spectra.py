@@ -33,13 +33,13 @@ from .core import (
     DivergenceDomainError,
     EvaluationResult,
     PoleError,
-    lattice_pole_index,
+    TWO_PI,
     lattice_pole_mask,
     node_chunks,
     result_from_value,
 )
 
-# log of the smallest normal double: the closed forms return 0 below it
+# log of the smallest normal double: the closed forms flush to 0 below it
 _LOG_TINY = math.log(sys.float_info.min)
 
 _DEFAULT_TERMS = {"oscillator": 1000, "affine": 1000, "primon": 100_000}
@@ -189,12 +189,12 @@ def closed_form_affine(beta: complex, offset: float, gap: float) -> complex:
     nearest k on the lattice.
     """
     beta = complex(beta)
-    log_z, flags = closed_form_affine_array(np.array([beta]), offset, gap)
-    if flags[0] == "pole":
-        k = lattice_pole_index(beta * gap)
+    log_z = closed_form_affine_array(np.array([beta]), offset, gap)[0]
+    if log_z == math.inf:
+        k = round((beta * gap).imag / TWO_PI)
         raise PoleError(f"closed form has a pole at beta*gap = 2*pi*i*{k}",
                         location=beta, nearest=k)
-    return 0j if flags[0] == "zero" else cmath.exp(log_z[0])
+    return 0j if log_z.real == -math.inf else cmath.exp(log_z)
 
 
 def _one_minus_exp(a, b):
@@ -214,16 +214,15 @@ def _split(v):
     return hi, v - hi
 
 
-def closed_form_affine_array(beta: np.ndarray, offset: float,
-                             gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """closed_form_affine on a complex array of nodes: (log Z, flags) per node.
+def closed_form_affine_array(beta: np.ndarray, offset: float, gap: float) -> np.ndarray:
+    """closed_form_affine on a complex array of nodes: log Z per node.
 
     With x = beta*gap it is taken at y = +-x with Re y >= 0, so no
     intermediate overflows: log Z = -beta*offset - log(1 - e^{-x}), or
     for Re x < 0, where Z = -exp(beta*(gap - offset)) / (1 - e^{x}),
-    log Z = beta*(gap - offset) - log(1 - e^{-y}) + i pi.  Flags are
-    "pole" on the lattice x = 2 pi i k, "zero" below the normal range of
-    doubles, else "".
+    log Z = beta*(gap - offset) - log(1 - e^{-y}) + i pi.  log Z is +inf on
+    the lattice x = 2 pi i k, and Re log Z is -inf where |Z| is below the
+    normal range of doubles, the flush to 0.
     """
     if not gap > 0:
         raise ValueError(f"affine gap must be positive, got {gap}")
@@ -234,7 +233,6 @@ def closed_form_affine_array(beta: np.ndarray, offset: float,
     d_err = (gap - (d - t)) + (-offset - t)
     d_hi, d_lo = _split(d)
     log_z = np.empty(beta.shape, dtype=complex)
-    flags = np.empty(beta.shape, dtype="U4")
     with np.errstate(all="ignore"):
         for sl in node_chunks(beta.size, 1):
             b_re, b_im = beta.real[sl], beta.imag[sl]
@@ -250,9 +248,9 @@ def closed_form_affine_array(beta: np.ndarray, offset: float,
             exp_im = np.where(flip, b_im * d + b_im * d_err, -(b_im * offset))
             den_re, den_im = _one_minus_exp(np.abs(x_re), np.where(flip, -x_im, x_im))
             log_z.real[sl] = log_abs = exp_re - np.log(np.hypot(den_re, den_im))
+            log_z.real[sl][log_abs < _LOG_TINY] = -np.inf
             # arctan2 reduces the exponent's phase exactly; pi is the sign of -1
             log_z.imag[sl] = (np.arctan2(np.sin(exp_im), np.cos(exp_im))
                               - np.arctan2(den_im, den_re) + np.where(flip, math.pi, 0.0))
-            flags[sl] = np.where(log_abs < _LOG_TINY, "zero", "")
-            flags[sl][lattice_pole_mask(x_re, x_im)] = "pole"
-    return log_z, flags
+            log_z[sl][lattice_pole_mask(x_re, x_im)] = np.inf
+    return log_z

@@ -36,7 +36,6 @@ import numpy as np
 from scipy.special import loggamma, polygamma
 
 from .core import (
-    EXP_UNDERFLOW,
     AccuracyWarning,
     DivergenceDomainError,
     EvaluationResult,
@@ -82,8 +81,9 @@ _SCAN_STEP = 0.25
 _BISECTIONS = 28
 
 # Gabcke's bound 0.017 t^(-11/4) on the Riemann-Siegel remainder after
-# C_4 holds from here on
+# C_4 holds from here on; _rs_margin is validated up to _RS_T_MAX
 _RS_T_MIN = 200.0
+_RS_T_MAX = 6e4
 
 
 def _rs_corrections() -> tuple[tuple[float, ...], ...]:
@@ -212,29 +212,23 @@ def zeta_em(s: complex, cutoff: int = 100, correction_order: int = 6) -> Evaluat
     return result_from_value(total, omitted, cutoff + correction_order)
 
 
-def zeta_em_array(s: np.ndarray, cutoff: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """zeta_em (correction order 6) for grid scans: (log zeta, flags) per
-    point of a complex array, from one scalar call per point;
-    ``cutoff=None`` takes the adaptive cutoff of each point's Im s.
-    Flags are "pole" at the pole 1, "zero" where the sum is exactly 0,
-    else "".
+def zeta_em_array(s: np.ndarray, cutoff: int | None = None) -> np.ndarray:
+    """zeta_em (correction order 6) for grid scans: log zeta per point of
+    a complex array, from one scalar call per point; ``cutoff=None`` takes
+    the adaptive cutoff of each point's Im s.  log zeta is +inf at the pole
+    1, and Re log zeta is -inf where the sum is exactly 0.
 
     There is no array kernel: left of the critical strip the value is
     what survives the cancellation of terms as large as
     cutoff^(1 - Re s), which only the scalar's own operations reproduce.
     """
     log_z = np.zeros(s.shape, dtype=complex)
-    flags = np.full(s.shape, "", dtype="U4")
     for i, x in enumerate(s.tolist()):
         try:
-            r = zeta_em(x, _adaptive_cutoff(x.imag) if cutoff is None else cutoff)
+            log_z[i] = zeta_em(x, _adaptive_cutoff(x.imag) if cutoff is None else cutoff).log_value
         except PoleError:
-            flags[i] = "pole"
-            continue
-        log_z[i] = r.log_value
-        if r.value == 0:
-            flags[i] = "zero"
-    return log_z, flags
+            log_z[i] = math.inf
+    return log_z
 
 
 def _prime_sieve(limit: int) -> np.ndarray:
@@ -285,11 +279,11 @@ def hadamard_product(beta: complex, zeros: ZetaZeroTable, zero_count: int) -> Ev
     zero -2n is the exact value 0, not a signal.
     """
     beta = complex(beta)
-    log_z, flags, err, terms = hadamard_product_array(np.array([beta]), zeros, zero_count)
-    if flags[0] == "pole":
+    log_z, err, terms = hadamard_product_array(np.array([beta]), zeros, zero_count)
+    if log_z[0] == math.inf:
         raise PoleError("the product has its simple pole at beta=1",
                         location=beta, nearest=1)
-    if flags[0] == "zero":
+    if log_z[0].real == -math.inf:
         # the kernel's ordinate test; the first hit names the zero
         g = zeros._g[:zero_count]
         hits = np.flatnonzero(np.hypot(beta.real - 0.5, abs(beta.imag) - g) < 1e-12)
@@ -302,20 +296,18 @@ def hadamard_product(beta: complex, zeros: ZetaZeroTable, zero_count: int) -> Ev
 
 def hadamard_product_array(beta: np.ndarray, zeros: ZetaZeroTable, zero_count: int):
     """The product of hadamard_product on a complex array of nodes:
-    (log Z, flags, error_estimate, terms_used) per node.
+    (log Z, error_estimate, terms_used) per node.
 
     Each factor enters with its principal log; the gamma factors' e^{-beta/2n}
-    enter as e^{-beta H_M/2}.  Flags are "pole" within 1e-12 of 1, "zero"
-    within 1e-12 of a zero 1/2 +- i gamma_k or where exp(log Z) underflows
-    to 0, which includes a vanishing factor (log -inf, as at a trivial zero
-    -2n, n <= M), else "".  Truncation of the zero product dominates the
-    error estimate, which takes the zero-density heuristic for
+    enter as e^{-beta H_M/2}.  log Z is +inf within 1e-12 of 1, and Re log Z
+    is -inf within 1e-12 of a zero 1/2 +- i gamma_k or at a vanishing factor
+    (as at a trivial zero -2n, n <= M).  Truncation of the zero product
+    dominates the error estimate, which takes the zero-density heuristic for
     sum_{k>K} 1/gamma_k^2, plus the gamma factors' |beta|^3/48M^2.
     """
     _check_zero_count(zeros, zero_count)
     g = zeros._g[:zero_count]
     zero_scale = zeros._zero_scale[:zero_count]
-    on_ordinate = np.zeros(beta.shape, dtype=bool)
     with np.errstate(all="ignore"):
         b_m1 = beta - 1.0
         log_pole = np.log(b_m1)
@@ -336,8 +328,8 @@ def hadamard_product_array(beta: np.ndarray, zeros: ZetaZeroTable, zero_count: i
             # an ordinate hit needs |Re beta - 1/2| < 1e-12 first
             near = np.abs(nodes.real - 0.5) < 1e-12
             if near.any():
-                on_ordinate[sl] = (near & (np.hypot(nodes.real - 0.5, np.abs(nodes.imag) - g)
-                                           < 1e-12)).any(axis=1)
+                hit = near & (np.hypot(nodes.real - 0.5, np.abs(nodes.imag) - g) < 1e-12)
+                log_z.real[sl][hit.any(axis=1)] = -np.inf
         if zero_count:
             gk = float(g[-1])
             zero_tail = (math.log(gk / TWO_PI) + 1.0) / (TWO_PI * gk)
@@ -349,9 +341,8 @@ def hadamard_product_array(beta: np.ndarray, zeros: ZetaZeroTable, zero_count: i
         log_err = np.logaddexp(log_beta + log_pole.real + math.log(zero_tail),
                                3.0 * log_beta - math.log(48.0 * _GAMMA_FACTOR_TERMS ** 2))
         error = scaled_error(log_z.real, log_err)
-    flags = np.where(on_ordinate | (log_z.real < EXP_UNDERFLOW), "zero", "")
-    flags[np.abs(b_m1) < 1e-12] = "pole"
-    return log_z, flags, error, np.full(beta.shape, zero_count + _GAMMA_FACTOR_TERMS)
+    log_z[np.abs(b_m1) < 1e-12] = np.inf
+    return log_z, error, np.full(beta.shape, zero_count + _GAMMA_FACTOR_TERMS)
 
 
 def _adaptive_cutoff(t: float) -> int:
@@ -461,7 +452,8 @@ def find_zeros(count: int) -> ZetaZeroTable:
     into a nonzero node; the first `count` events are kept and their
     brackets bisected together (|dt| < 1e-9).  ArithmeticError unless
     every |zeta(1/2 + i gamma)| < 1e-8 by zeta_em; WindowExhaustedError if
-    the window holds fewer events.  Known miss: two zeros in one scan cell
+    the window holds fewer events, NumericalDomainError if it passes
+    _RS_T_MAX (count > 59713).  Known miss: two zeros in one scan cell
     give no sign change, so both are skipped and every later index shifts.
     The first such pair is gamma_922/gamma_923 (t = 1329.04, 1329.21): the
     table is exact for count <= 921 only (a strict-xfail test pins this).
@@ -469,6 +461,9 @@ def find_zeros(count: int) -> ZetaZeroTable:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     window = _estimated_window(count)
+    if window > _RS_T_MAX:
+        raise NumericalDomainError(f"count {count} needs the scan window t < {window:.6g}, past "
+                                   f"the t <= {_RS_T_MAX:g} where the sign margin is validated")
     t = 2.0 + _SCAN_STEP * np.arange(math.ceil((window - 2.0) / _SCAN_STEP), dtype=np.float64)
     z = _hardy_sign(t)
     on_node = z == 0.0

@@ -158,3 +158,22 @@ def test_library_never_imports_mpmath():
                  if module.split(".")[0] == "mpmath"
                  or module.split(".")[0] == "scipy" and module != "scipy.special"]
     assert offenders == []
+
+
+def test_only_scan_cli_writes_flags():
+    # a kernel signals a pole or a zero as an infinite log Z, and grid_scan
+    # alone turns that into a flag: no other library module spells one, and
+    # only core, where it is defined, and scan_cli name EXP_UNDERFLOW
+    package = Path(spectral_zeros.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (path.name != "scan_cli.py" and isinstance(node, ast.Constant)
+                    and node.value in ("zero", "pole")):
+                offenders.append((path.name, node.value))
+            # a Name's id, an Attribute's attr, an import alias's name
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
+                node, "name", None)
+            if name == "EXP_UNDERFLOW" and path.name not in ("core.py", "scan_cli.py"):
+                offenders.append((path.name, name))
+    assert offenders == []

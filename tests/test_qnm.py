@@ -299,8 +299,8 @@ def test_conjectured_past_the_float_range_matches_mpmath(z):
     # a single factor and the pair products overflow; log Z stays finite
     want, on_cut = _mp_conjectured(z, _MIRRORED)
     _assert_log_matches(conjectured_partition_log(z, _MIRRORED).log_value, want, z, on_cut)
-    _, flags, _, _ = conjectured_partition_log_array(np.array([z]), _MIRRORED)
-    assert flags.tolist() == [""]
+    log_z, _, _ = conjectured_partition_log_array(np.array([z]), _MIRRORED)
+    assert np.isfinite(log_z).all() and log_z.real[0] >= EXP_UNDERFLOW
 
 
 @pytest.mark.parametrize("reflection", [True, False], ids=["paired", "unpaired"])
@@ -313,46 +313,48 @@ def test_conjectured_mode_hits_name_the_mode(reflection):
         with pytest.raises(ZeroHitSignal) as exc:
             conjectured_partition_log(mode, spec)
         assert exc.value.index == i
-    _, flags, _, _ = conjectured_partition_log_array(np.array(spec.modes + (2j,)), spec)
-    assert flags.tolist() == ["zero"] * len(spec.modes) + [""]
+    log_z, _, _ = conjectured_partition_log_array(np.array(spec.modes + (2j,)), spec)
+    assert (log_z.real == -np.inf).tolist() == [True] * len(spec.modes) + [False]
 
 
 @given(reflection_spectra(), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_conjectured_array_matches_the_scalar(spec, reflection, data):
-    # several nodes in one kernel call, and the scalar at each node: flags
-    # and signals, and the log of each node against the oracle
+    # several nodes in one kernel call, and the scalar at each node: -inf
+    # and signals at the zeros, underflow, and the log of each node against
+    # the oracle
     if not reflection:
         spec = dataclasses.replace(spec, symmetry="none")
     points = data.draw(st.lists(st.one_of(
         st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),
         st.sampled_from(spec.modes)), min_size=1, max_size=12))
-    log_z, flags, err, terms = conjectured_partition_log_array(
+    log_z, err, terms = conjectured_partition_log_array(
         np.array(points, dtype=complex), spec)
     assert err.tolist() == [0.0] * len(points) and terms.tolist() == [len(spec.modes)] * len(points)
-    for z, lz, flag in zip(points, log_z.tolist(), flags.tolist()):
+    for z, lz in zip(points, log_z.tolist()):
         try:
             want, on_cut = _mp_conjectured(z, spec)
         except ZeroHitSignal as e:
-            assert flag == "zero", z
+            assert lz.real == -math.inf, z
             with pytest.raises(ZeroHitSignal) as exc:
                 conjectured_partition_log(z, spec)
             assert exc.value.index == e.index
             continue
-        assert flag == ("zero" if want.real < EXP_UNDERFLOW else ""), z
+        assert (lz.real < EXP_UNDERFLOW) == (want.real < EXP_UNDERFLOW), z
         _assert_log_matches(lz, want, z, on_cut)
         _assert_log_matches(conjectured_partition_log(z, spec).log_value, want, z, on_cut)
 
 
 def test_conjectured_array_flags_a_vanishing_pair():
     # z = i is no mode, but the pair's factor (1 - z/a)(1 - z/a') = 1e-340
-    # underflows to 0, which the scalar reports as a zero hit
+    # underflows to 0: the kernel's log is -inf, which the scalar reports
+    # as a zero hit
     spec = QNMSpectrum(modes=(1e-170 + 1j, -1e-170 + 1j), temperature=1.0,
                        symmetry="reflection")
     with pytest.raises(ZeroHitSignal):
         conjectured_partition_log(1j, spec)
-    _, flags, _, _ = conjectured_partition_log_array(np.array([1j, 2j]), spec)
-    assert flags.tolist() == ["zero", ""]
+    log_z, _, _ = conjectured_partition_log_array(np.array([1j, 2j]), spec)
+    assert log_z.real[0] == -np.inf and np.isfinite(log_z[1])
 
 
 # ----------------------------------------------------------------- spacing

@@ -36,7 +36,13 @@ from spectral_zeros.scan_cli import (
     write_pgm,
 )
 from spectral_zeros.spectra import closed_form_oscillator
-from spectral_zeros.zeta import _adaptive_cutoff, find_zeros, hadamard_product, zeta_em
+from spectral_zeros.zeta import (
+    ZetaZeroTable,
+    _adaptive_cutoff,
+    find_zeros,
+    hadamard_product,
+    zeta_em,
+)
 
 
 def test_nodes_match_direct_evaluation():
@@ -148,6 +154,17 @@ def _contract_node(fn, z):
     return min(max(la, -LOG_CLAMP), LOG_CLAMP), math.remainder(ph, TWO_PI), ""
 
 
+def _kernel_node(log_v):
+    """The scan contract applied to one log Z of an array evaluator: Re log Z
+    below EXP_UNDERFLOW is a zero, any other non-finite log Z a pole."""
+    log_v = complex(log_v)
+    if log_v.real < EXP_UNDERFLOW:
+        return -LOG_CLAMP, 0.0, "zero"
+    if not cmath.isfinite(log_v):
+        return LOG_CLAMP, 0.0, "pole"
+    return min(max(log_v.real, -LOG_CLAMP), LOG_CLAMP), math.remainder(log_v.imag, TWO_PI), ""
+
+
 def _assert_node_matches(got, want, z, scale=None):
     """Same flag; log|Z| and arg (mod 2 pi) within 1e-13 max(1, scale),
     scale |log|Z|| unless given; arg principal."""
@@ -174,8 +191,7 @@ def _assert_scan_matches_scalar(evaluator, region, resolution, params, scalar):
 def test_hadamard_evaluator_matches_library_call():
     zeros = find_zeros(10)
     fn = make_evaluator("zeta_hadamard", zeros=zeros, zero_count=10)
-    log_z, flags = fn(np.array([2.0 + 0.5j]))
-    node = (log_z[0].real, math.remainder(log_z[0].imag, TWO_PI), flags[0])
+    node = _kernel_node(fn(np.array([2.0 + 0.5j]))[0])
     _assert_node_matches(node, _contract_node(lambda z: hadamard_product(z, zeros, 10),
                                               2.0 + 0.5j), 2.0 + 0.5j)
 
@@ -219,13 +235,49 @@ def test_evaluators_look_up_library_functions_at_call_time(monkeypatch, name,
         calls.append((z.tolist(), args))
         return kernel(z, *args)
     monkeypatch.setattr(scan_cli, library_fn + "_array", spy)
-    log_z, flags = fn(np.array([0.25 + 0.5j]))
+    log_z = fn(np.array([0.25 + 0.5j]))
     assert [z for z, _ in calls] == [[0.25 + 0.5j]]
     # the one-node value is the library function's, called with the same arguments
     scalar = getattr(sys.modules[kernel.__module__], library_fn)
-    node = (log_z[0].real, math.remainder(log_z[0].imag, TWO_PI), flags[0])
+    node = _kernel_node(log_z[0])
     _assert_node_matches(node, _contract_node(lambda z: scalar(z, *calls[0][1]), 0.25 + 0.5j),
                          0.25 + 0.5j)
+
+
+_GAMMA_1 = 14.134725141734694
+_TWO_ZEROS = ZetaZeroTable((_GAMMA_1, 21.022039638771555))
+
+
+@pytest.mark.parametrize("evaluator, params, node, kernel_re, flag", [
+    ("oscillator_closed", {"e0": TWO_PI}, 1j, math.inf, "pole"),            # beta E0 = 2 pi i
+    ("oscillator_closed", {}, 1450.0 + 0j, -math.inf, "zero"),              # log|Z| = -725
+    ("oscillator_product", {"e0": TWO_PI}, 1j, math.inf, "pole"),
+    ("oscillator_product", {"e0": TWO_PI}, 240.0 + 0j, -754.52, "zero"),    # finite, exp gives 0
+    ("zeta_em", {}, 1.0 + 0j, math.inf, "pole"),
+    ("zeta_em", {"cutoff": 60}, -2.0 + 0j, -math.inf, "zero"),              # the sum is exactly 0
+    ("zeta_hadamard", {"zeros": _TWO_ZEROS}, 1.0 + 0j, math.inf, "pole"),
+    ("zeta_hadamard", {"zeros": _TWO_ZEROS}, complex(0.5, _GAMMA_1), -math.inf, "zero"),
+    ("zeta_hadamard", {"zeros": _TWO_ZEROS}, -2.0 + 0j, -math.inf, "zero"),  # trivial zero
+    ("qnm_conjectured", {"spectrum": QNMSpectrum(modes=(1.0 - 1j,), temperature=1.0)},
+     1.0 - 1j, -math.inf, "zero"),
+], ids=["closed_pole", "closed_flushed", "product_pole", "product_underflow", "zeta_em_pole",
+        "zeta_em_zero", "hadamard_pole", "hadamard_ordinate", "hadamard_trivial", "qnm_mode"])
+def test_kernel_infinities_become_the_scan_flags(evaluator, params, node, kernel_re, flag):
+    # a kernel gives log Z = +inf at a pole and Re log Z = -inf at a zero
+    # it detects; grid_scan alone flags those, and a finite log below
+    # EXP_UNDERFLOW, at the planted node in the grid's first corner
+    log_z = make_evaluator(evaluator, **params)(np.array([node]))
+    assert log_z.dtype == complex
+    if kernel_re == math.inf:
+        assert log_z[0] == math.inf                   # the whole log, phase 0
+    elif kernel_re == -math.inf:
+        assert log_z[0].real == -math.inf
+    else:
+        assert EXP_UNDERFLOW > log_z[0].real > kernel_re - 0.01
+    scan = grid_scan(evaluator, (node.real, node.real + 1.0, node.imag, node.imag + 1.0),
+                     (2, 2), params)
+    assert (str(scan.flags[0]), scan.log_abs[0], scan.arg[0]) == \
+        (flag, LOG_CLAMP if flag == "pole" else -LOG_CLAMP, 0.0)
 
 
 def test_grid_scan_validation():
@@ -662,11 +714,13 @@ _SPECTRUM = '{"modes": [[1.0, -1.0]], "temperature": 1.0}'
     (None, ["zeta", "explicit", "--x", "inf"], "--x must be finite, got inf"),
     (_SPECTRUM, ["qnm", "oneloop", "--spectrum", "FILE", "--delta", "nan"],
      "--delta must be finite, got nan"),
+    # the scan window t < 5.7e7 would take 1.8 GB per temporary
+    (None, ["zeta", "zeros", "--count", "100000000"], "count 100000000 needs the scan window"),
 ], ids=["nan_mode_scan", "nan_mode_fit", "nan_mode_oneloop", "nan_action_scan",
         "inf_temperature", "inf_pol", "inf_zero_explicit", "inf_zero_scan",
         "inf_region", "nan_region", "nan_beta", "inf_beta_im", "nan_e0", "tiny_beta",
         "small_beta", "inf_scan_e0",
-        "nan_re", "inf_im", "inf_x", "nan_delta"])
+        "nan_re", "inf_im", "inf_x", "nan_delta", "huge_zero_count"])
 def test_cli_non_finite_input_exits_2(tmp_path, capsys, text, argv, message):
     f = tmp_path / "input.txt"
     if text is not None:
@@ -740,6 +794,18 @@ def test_cli_numerical_failure_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(scan_cli, "find_zeros", failing_find_zeros)
     assert cli_dispatch(["zeta", "zeros", "--count", "3"]) == 2
     assert "fails verification" in capsys.readouterr().err
+
+
+def test_cli_memory_error_exits_2(monkeypatch, capsys):
+    # a grid too large to allocate; raised, not allocated: with overcommit the
+    # allocation itself succeeds and its writes get the process killed
+    def grid_scan_out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+    monkeypatch.setattr(scan_cli, "grid_scan", grid_scan_out_of_memory)
+    argv = ["scan", "--evaluator", "oscillator_closed", "--region", "0", "1", "0", "1",
+            "--cols", "100000", "--rows", "100000", "--format", "pgm"]
+    assert cli_dispatch(argv) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 149. GiB for an array\n"
 
 
 def test_cli_qnm_surface(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,6 +214,19 @@ def test_find_zeros_window_exhaustion(monkeypatch):
         find_zeros(3)
     assert exc.value.found == 1
     assert exc.value.t_max == 15.0
+
+
+def test_find_zeros_refuses_a_window_past_the_validated_margin():
+    # 10^8 zeros would scan t < 5.7e7: 2.3e8 nodes, 1.8 GB per temporary.
+    # The window passes _RS_T_MAX = 6e4 first at count 59,714
+    assert zeta._estimated_window(59713) < zeta._RS_T_MAX < zeta._estimated_window(59714)
+    start = time.perf_counter()
+    with pytest.raises(NumericalDomainError) as exc:
+        find_zeros(10 ** 8)
+    assert time.perf_counter() - start < 1.0
+    message = str(exc.value)
+    assert "\n" not in message
+    assert all(part in message for part in ("count 100000000", "t < 5.73513e+07", "60000"))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["from_below", "from_above"])
