@@ -1,8 +1,11 @@
 """Shared numerical kernels.
 
 The result and signal types every route returns or raises, the
-pole-lattice mask, and the principal-branch complex log-gamma on which
-the QNM gamma towers are built: scipy's loggamma behind a pole check.
+pole-lattice mask, the real trigamma that gives the product kernels their
+tail terms, and the principal-branch complex log-gamma on which the QNM
+gamma towers are built: scipy's loggamma behind a pole check, imported on
+the first call, so that a process which never needs log-gamma (every grid
+scan) never loads scipy.
 
 Every product and closed form is one array kernel over nodes whose only
 status signal is log Z = +inf at a pole, Re log Z = -inf at a zero; its
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 TWO_PI = 2.0 * math.pi
 HALF_LOG_TWO_PI = 0.5 * math.log(TWO_PI)
@@ -182,11 +184,34 @@ def result_from_value(value: complex, error_estimate: float = 0.0,
                             terms_used=int(terms_used))
 
 
+def trigamma(x: float) -> float:
+    """psi'(x) = sum_{n>=0} 1/(x+n)^2 for real x > 0, within 2 ulp.
+
+    The recurrence psi'(x) = 1/x^2 + psi'(x+1) carries x to 32 or beyond,
+    where the asymptotic series 1/x + 1/2x^2 + sum_k B_2k/x^(2k+1) through
+    B_10 is left with a term below 3e-19 relative; fsum adds the parts.
+    """
+    x = float(x)
+    parts = []
+    while x < 32.0:
+        parts.append(1.0 / (x * x))
+        x += 1.0
+    t = 1.0 / x
+    t2 = t * t
+    parts.append(t + 0.5 * t2 + t * t2 * (
+        1.0 / 6.0 + t2 * (-1.0 / 30.0 + t2 * (1.0 / 42.0 + t2 * (-1.0 / 30.0 + t2 * (5.0 / 66.0))))))
+    return math.fsum(parts)
+
+
 def log_gamma(z: complex) -> complex:
     """Principal branch of log Gamma(z), scipy.special.loggamma's.
 
     Raises PoleError when z is within 1e-12 of a non-positive integer.
+    scipy.special is imported here, not with the module: only the QNM
+    one-loop sum needs it, and the import costs ~0.3 s and ~25 MB.
     """
+    from scipy.special import loggamma
+
     z = complex(z)
     n = round(z.real)
     if n <= 0 and abs(z - n) < 1e-12:

@@ -29,7 +29,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import polygamma
 
 from .core import (
     EvaluationResult,
@@ -39,6 +38,7 @@ from .core import (
     node_chunks,
     result_from_log,
     scaled_error,
+    trigamma,
 )
 from .spectra import Spectrum
 
@@ -137,15 +137,15 @@ def pole_product_oscillator_array(beta: np.ndarray, e0: float, n_factors: int = 
             sum_abs[sl] = log_abs.sum(axis=1)
             np.arctan2(w_im, np.add(w_re, 1.0, out=arg), out=arg)
             sum_arg[sl] = arg.sum(axis=1)
-        trigamma = float(polygamma(1, n_factors + 1))
+        psi1 = trigamma(n_factors + 1)
         log_z = -(np.log(x_re + 1j * x_im) + (sum_abs + 1j * sum_arg))
         # log|c| from log|x|: c itself overflows once |x| > ~1e154
         log_c = 2.0 * np.log(np.hypot(x_re, x_im)) - math.log(FOUR_PI_SQ)
         if tail_correction:
-            log_z -= (c_re * trigamma) + 1j * (c_im * trigamma)
+            log_z -= (c_re * psi1) + 1j * (c_im * psi1)
             log_err = 2.0 * log_c - math.log(6.0 * float(n_factors) ** 3)
         else:
-            log_err = log_c + math.log(trigamma)
+            log_err = log_c + math.log(psi1)
         error = scaled_error(log_z.real, log_err)
     log_z[lattice_pole_mask(x_re, x_im)] = np.inf
     return log_z, error, np.full(beta.shape, n_factors)

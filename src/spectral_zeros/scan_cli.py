@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
-import inspect
 import itertools
 import json
 import math
@@ -72,6 +71,9 @@ def _check_grid(region: Region, resolution: Resolution) -> None:
         raise ValueError("resolution must be positive")
     if not all(map(math.isfinite, region)):
         raise ValueError(f"scan region must be finite, got {list(region)}")
+    # linspace over a width that overflows gives inf and nan nodes
+    if not (math.isfinite(re_max - re_min) and math.isfinite(im_max - im_min)):
+        raise ValueError(f"scan region width must be finite, got {list(region)}")
     if not (re_min < re_max and im_min < im_max):
         raise ValueError("degenerate scan region")
 
@@ -180,7 +182,8 @@ def make_evaluator(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
     builder = _EVALUATORS.get(name)
     if builder is None:
         raise ValueError(f"unknown evaluator: {name!r}")
-    unexpected = params.keys() - inspect.signature(builder).parameters.keys()
+    code = builder.__code__   # no builder takes *args or keyword-only parameters
+    unexpected = params.keys() - set(code.co_varnames[:code.co_argcount])
     if unexpected:
         raise ValueError(f"unexpected parameters for {name}: {sorted(unexpected)}")
     return builder(**params)

@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma, polygamma
 
 from .core import (
     AccuracyWarning,
@@ -47,6 +46,7 @@ from .core import (
     result_from_log,
     result_from_value,
     scaled_error,
+    trigamma,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -72,7 +72,7 @@ _BERNOULLI_EVEN = (
 # (gamma_E + ln pi)/2 from the prefactor, -H_M/2 = -sum 1/2n from the e^{-beta/2n}
 _GAMMA_FACTOR_TERMS = 200
 _TWO_N = 2.0 * np.arange(1, _GAMMA_FACTOR_TERMS + 1, dtype=np.float64)
-_TRIGAMMA_TAIL = float(polygamma(1, _GAMMA_FACTOR_TERMS + 1))
+_TRIGAMMA_TAIL = trigamma(_GAMMA_FACTOR_TERMS + 1)
 _LINEAR = (EULER_GAMMA + LOG_PI) / 2.0 - math.fsum(1.0 / _TWO_N)
 
 # step of the critical-line sign scan in find_zeros and the bisection
@@ -355,7 +355,13 @@ def zeta_critical_line(t: float) -> complex:
 
 
 def riemann_siegel_theta(t):
-    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) ln pi, of a float or an array."""
+    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) ln pi, of a float or an array.
+
+    scipy.special is imported on the first call, not with the module, so
+    that only zero finding pays for it; a later import is a dict lookup.
+    """
+    from scipy.special import loggamma
+
     return loggamma(0.25 + 0.5j * t).imag - 0.5 * t * LOG_PI
 
 

@@ -16,6 +16,7 @@ from spectral_zeros.core import (
     log_gamma,
     result_from_log,
     scaled_error,
+    trigamma,
 )
 
 
@@ -100,6 +101,29 @@ def test_log_gamma_reflection_branch_matched(x, y):
     assert abs(residual) < 1e-10
 
 
+# ----------------------------------------------------------------- trigamma
+
+def test_trigamma_within_2_ulp_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    switch = 32.0  # the recurrence carries x up to here, the series takes over
+    xs = [*np.geomspace(1.0, 1e8, 301).tolist(),
+          101.0, 201.0, 1001.0,  # psi'(N + 1) of the product kernels' tails
+          math.nextafter(switch, 0.0), switch, math.nextafter(switch, 64.0),
+          switch - 1.0, switch - 0.5, switch - 0.1, switch + 0.1, switch + 1.0]
+    with mpmath.workdps(40):
+        for x in xs:
+            ref = mpmath.psi(1, mpmath.mpf(x))
+            ulps = abs(mpmath.mpf(trigamma(x)) - ref) / math.ulp(float(ref))
+            assert ulps <= 2, (x, float(ulps))
+
+
+def test_trigamma_is_scipys_at_1001():
+    # psi'(1001) is the tail of the default 1000-factor oscillator product,
+    # so default scans keep the bytes they had with scipy's polygamma
+    from scipy.special import polygamma
+    assert trigamma(1001.0) == float(polygamma(1, 1001))
+
+
 # ------------------------------------------------------------------ results
 
 def test_result_exp_log_consistency():
@@ -149,9 +173,13 @@ def _imported_modules(path):
 
 def test_library_never_imports_mpmath():
     # mpmath is an oracle for the tests and the data scripts only.  Of scipy
-    # the library takes scipy.special alone: importing scipy.optimize costs
-    # ~130 ms, and even imported lazily it pushed zeta_zeros peak RSS from
-    # 56.8 to 79.2 MB.  "from scipy import x" names the module "scipy".
+    # the library takes scipy.special alone, and only for loggamma, imported
+    # inside the two functions that call it (core.log_gamma and
+    # zeta.riemann_siegel_theta), so that no scan loads it: importing
+    # scipy.special costs ~0.3 s and ~20 MB, and scipy.optimize a further
+    # ~130 ms (lazily imported, it pushed zeta_zeros peak RSS from 56.8 to
+    # 79.2 MB).  The AST walk sees function-level imports too.  "from scipy
+    # import x" names the module "scipy".
     package = Path(spectral_zeros.__file__).parent
     offenders = [(path.name, module) for path in sorted(package.glob("*.py"))
                  for module in _imported_modules(path)

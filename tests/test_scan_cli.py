@@ -2,9 +2,12 @@ import cmath
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +291,15 @@ def test_grid_scan_validation():
     with pytest.raises(ValueError):
         GridScan(region=(0.0, 1.0, 0.0, 1.0), resolution=(2, 2),
                  log_abs=np.zeros(1), arg=np.zeros(1), flags=np.array([""]))
+
+
+@pytest.mark.parametrize("region", [(-1e308, 1e308, -1.0, 1.0), (-1.0, 1.0, -1.7e308, 1.7e308)],
+                         ids=["re_width", "im_width"])
+def test_grid_scan_rejects_an_overflowing_width(region):
+    # each bound is finite, but linspace over the width gave [nan, inf, 1e308]
+    # and a NaN column flagged pole
+    with pytest.raises(ValueError, match="scan region width must be finite"):
+        grid_scan("oscillator_closed", region, (3, 3))
 
 
 def test_scan_determinism():
@@ -701,6 +713,9 @@ _SPECTRUM = '{"modes": [[1.0, -1.0]], "temperature": 1.0}'
      "scan region must be finite"),
     (None, ["scan", "--evaluator", "zeta_em", "--region", "0", "1", "nan", "1"],
      "scan region must be finite"),
+    # argparse takes "-1e308" for an option; it reads the integer -10**308 as a value
+    (None, ["scan", "--evaluator", "oscillator_closed", "--region", str(-10 ** 308), "1e308",
+            "-1", "1", "--cols", "3", "--rows", "3"], "scan region width must be finite"),
     (None, ["oscillator", "--beta", "nan"], "--beta must be finite, got nan"),
     (None, ["oscillator", "--beta-im", "inf"], "--beta-im must be finite, got inf"),
     (None, ["oscillator", "--e0", "nan"], "--e0 must be finite, got nan"),
@@ -718,7 +733,7 @@ _SPECTRUM = '{"modes": [[1.0, -1.0]], "temperature": 1.0}'
     (None, ["zeta", "zeros", "--count", "100000000"], "count 100000000 needs the scan window"),
 ], ids=["nan_mode_scan", "nan_mode_fit", "nan_mode_oneloop", "nan_action_scan",
         "inf_temperature", "inf_pol", "inf_zero_explicit", "inf_zero_scan",
-        "inf_region", "nan_region", "nan_beta", "inf_beta_im", "nan_e0", "tiny_beta",
+        "inf_region", "nan_region", "wide_region", "nan_beta", "inf_beta_im", "nan_e0", "tiny_beta",
         "small_beta", "inf_scan_e0",
         "nan_re", "inf_im", "inf_x", "nan_delta", "huge_zero_count"])
 def test_cli_non_finite_input_exits_2(tmp_path, capsys, text, argv, message):
@@ -786,6 +801,40 @@ def test_cli_negative_zero_count_exits_2(capsys, zeros5, with_file):
         argv += ["--zeros-file", str(zeros5[1])]
     assert cli_dispatch(argv) == 2
     assert capsys.readouterr().err == "error: zero_count must be >= 0, got -1\n"
+
+
+# four scans, then the two functions that need log-gamma, in one process
+_SCIPY_FREE_START = """
+import math, sys
+from spectral_zeros.qnm import load_qnm_file, one_loop_log_partition
+from spectral_zeros.scan_cli import cli_dispatch
+from spectral_zeros.zeta import find_zeros
+
+zeros_file, spectrum, out = sys.argv[1:]
+grid = ["--region", "-1", "1", "-1", "1", "--cols", "4", "--rows", "4", "--out", out]
+for argv in (["--evaluator", "oscillator_closed"], ["--evaluator", "oscillator_product"],
+             ["--evaluator", "zeta_hadamard", "--zeros-file", zeros_file],
+             ["--evaluator", "qnm_conjectured", "--spectrum", spectrum]):
+    assert cli_dispatch(["scan", *argv, *grid]) == 0, argv
+assert "scipy" not in sys.modules
+assert len(find_zeros(5)) == 5
+assert math.isfinite(one_loop_log_partition(load_qnm_file(spectrum)).real)
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_scans_start_without_scipy(tmp_path, zeros5):
+    # only the QNM one-loop sum and zero finding need log-gamma, and they
+    # import scipy.special on their first call: no scan loads scipy
+    spectrum = tmp_path / "spectrum.json"
+    spectrum.write_text(_SPECTRUM)
+    src = str(Path(scan_cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_START, str(zeros5[1]),
+                           str(spectrum), str(tmp_path / "out.csv")],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_numerical_failure_exits_2(monkeypatch, capsys):
