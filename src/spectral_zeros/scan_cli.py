@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,8 +85,8 @@ class GridScan:
     Node index = row*cols + col, rows running from im_min upward; the
     node coordinates come from the same linspace axes every consumer
     uses, so CSV output and the locators agree bit for bit.  ``log_abs``
-    and ``arg`` are float arrays and ``flags`` a string array ("",
-    "zero" or "pole"), each of length cols*rows, filled by one
+    and ``arg`` are finite float arrays and ``flags`` a string array
+    ("", "zero" or "pole"), each of length cols*rows, filled by one
     whole-grid evaluation (see grid_scan).
     """
 
@@ -101,6 +101,9 @@ class GridScan:
         cols, rows = self.resolution
         if not len(self.log_abs) == len(self.arg) == len(self.flags) == cols * rows:
             raise ValueError("node arrays must have length cols*rows")
+        # the writers format floats with repr, which json writes only for finite ones
+        if not (np.isfinite(self.log_abs).all() and np.isfinite(self.arg).all()):
+            raise ValueError("log_abs and arg must be finite")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         re_min, re_max, im_min, im_max = self.region
@@ -261,36 +264,63 @@ def _strict_local_maxima(vals: np.ndarray) -> np.ndarray:
 
 # -------------------------------------------------------------------- writers
 
-def _node_rows(scan: GridScan):
-    """(re, im, log_abs, arg, flag) per node in index order, as Python scalars."""
-    re_axis, im_axis = (a.tolist() for a in scan.axes())
-    return ((x, y, la, ph, flag) for (y, x), la, ph, flag in zip(
-        itertools.product(im_axis, re_axis),
-        scan.log_abs.tolist(), scan.arg.tolist(), scan.flags.tolist()))
+def _grid_rows(scan: GridScan, sep: str, flag_text: Callable[[str], str]):
+    """The text of the nodes, one string per grid row, im_min first.
+
+    A node is re,im,log_abs,arg,flag: the floats in repr, the flag
+    through flag_text.  Nodes are joined by sep, and every row after the
+    first starts with sep, so the rows concatenate to the whole node
+    list.  Each axis value is formatted once.
+    """
+    re_axis, im_axis = scan.axes()
+    re_text = [repr(x) for x in re_axis.tolist()]
+    cols, lead = len(re_text), ""
+    for start, y in zip(range(0, scan.flags.size, cols), im_axis.tolist()):
+        part = slice(start, start + cols)
+        flags = scan.flags[part].tolist()
+        text = {f: flag_text(f) for f in set(flags)}
+        yield lead + sep.join(map(",".join, zip(
+            re_text, itertools.repeat(repr(y)), map(repr, scan.log_abs[part].tolist()),
+            map(repr, scan.arg[part].tolist()), map(text.__getitem__, flags))))
+        lead = sep
 
 
 def write_csv(scan: GridScan, path) -> None:
-    """One row per node, row-major; header re,im,log_abs,arg,flag.
+    """One line per node, row-major; header re,im,log_abs,arg,flag.
 
     Floats are written with repr (shortest round-trip form), so files
-    are byte-stable across runs.
+    are byte-stable across runs.  The file is written one grid row at a
+    time, so memory stays flat whatever the resolution.
     """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["re", "im", "log_abs", "arg", "flag"])
-        w.writerows([repr(x), repr(y), repr(la), repr(ph), flag]
-                    for x, y, la, ph, flag in _node_rows(scan))
+        fh.write("re,im,log_abs,arg,flag\n")
+        fh.writelines(_grid_rows(scan, "\n", str))
+        fh.write("\n")
+
+
+# stands in for the node list in the document that write_json dumps
+_NODES = "nodes placeholder"
 
 
 def write_json(scan: GridScan, path, meta: dict | None = None) -> None:
-    doc = {
-        "region": list(scan.region),
-        "resolution": list(scan.resolution),
-        "nodes": list(_node_rows(scan)),
-    }
+    """A sorted-key document: meta (if given), nodes as
+    [re, im, log_abs, arg, flag] lists in row-major order, region and
+    resolution.
+
+    Floats are written with repr, as json writes them.  The node list is
+    written one grid row at a time, so memory stays flat whatever the
+    resolution.
+    """
+    doc = {"region": list(scan.region), "resolution": list(scan.resolution), "nodes": _NODES}
     if meta is not None:
         doc["meta"] = meta
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    # only region and resolution, plain numbers, follow the node list
+    head, _, tail = json.dumps(doc, sort_keys=True, separators=(",", ":")).rpartition(
+        json.dumps(_NODES))
+    with open(path, "w") as fh:
+        fh.write(head + "[[")
+        fh.writelines(_grid_rows(scan, "],[", json.dumps))
+        fh.write("]]" + tail + "\n")
 
 
 def write_pgm(scan: GridScan, path) -> None:
@@ -331,11 +361,10 @@ def _emit_table(columns: Sequence[str], rows: Sequence[Sequence], args) -> None:
         _print_table(columns, rows)
         return
     if args.format == "csv":
+        # no field holds a comma, a quote or a newline, so none needs quoting
         with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(columns)
-            for row in rows:
-                w.writerow([_fmt(v, precise=True) for v in row])
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(",".join(_fmt(v, precise=True) for v in row) + "\n" for row in rows)
     else:
         doc = {"columns": list(columns),
                "rows": [[_fmt(v, precise=True) for v in row] for row in rows]}
@@ -465,8 +494,19 @@ def _zeros_args(p) -> None:
     p.add_argument("--zeros-file", dest="zeros", metavar="ZEROS_FILE", default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in exponent notation
+    (-1e5, -1E+300) as a value; argparse's own pattern reads only forms
+    like -12 and -1.5 as numbers and takes the rest for options.  Its
+    subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="spectral-zeros",
         description="partition functions from spectra and from their zeros/poles")
     sub = p.add_subparsers(dest="command", required=True)

@@ -1,5 +1,7 @@
 import cmath
 import csv
+import io
+import itertools
 import json
 import math
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -600,6 +602,113 @@ def test_vectorized_locator_matches_loop(vals):
     assert locate_zeros(scan) == [_node(scan, i) for i in _loop_local_maxima(-vals)]
 
 
+# ------------------------------------------------------ reference writers
+#
+# One tuple per node through csv.writer, and json.dumps over the whole
+# document: the streaming writers must write the same bytes.
+
+def _reference_node_rows(scan):
+    re_axis, im_axis = (a.tolist() for a in scan.axes())
+    return ((x, y, la, ph, flag) for (y, x), la, ph, flag in zip(
+        itertools.product(im_axis, re_axis),
+        scan.log_abs.tolist(), scan.arg.tolist(), scan.flags.tolist()))
+
+
+def _reference_write_csv(scan, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["re", "im", "log_abs", "arg", "flag"])
+        w.writerows([repr(x), repr(y), repr(la), repr(ph), flag]
+                    for x, y, la, ph, flag in _reference_node_rows(scan))
+
+
+def _reference_write_json(scan, path, meta=None):
+    doc = {
+        "region": list(scan.region),
+        "resolution": list(scan.resolution),
+        "nodes": list(_reference_node_rows(scan)),
+    }
+    if meta is not None:
+        doc["meta"] = meta
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+# values at the edges of the writers' float text: the clamp, signed zero,
+# the smallest subnormal and reprs with an exponent
+_EDGE_FLOATS = [745.0, -745.0, 0.0, -0.0, 5e-324, -5e-324, 1e-05, -1e-05, 1e+16, 1.5e+300,
+                0.1, TWO_PI]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _grid_scans(draw):
+    """A GridScan of 1x1, 1xN, Nx1 or NxM nodes with any finite values and
+    any flags, over a region whose bounds may need an exponent."""
+    cols, rows = draw(st.sampled_from([(1, 1), (1, 7), (7, 1), (5, 3), (2, 9)]))
+    bounds = []
+    for _ in range(2):
+        lo = draw(st.one_of(st.sampled_from([-1e+16, -1e-05, -0.0, 5e-324, 0.5]),
+                            st.floats(-1e300, 1e300)))
+        width = draw(st.one_of(st.sampled_from([1e-05, 1.0, 1e+16]), st.floats(1e-300, 1e300)))
+        assume(math.isfinite(lo + width) and lo + width > lo)
+        bounds += [lo, lo + width]
+    n = cols * rows
+    values = st.lists(_FLOATS, min_size=n, max_size=n).map(np.array)
+    flags = st.lists(st.sampled_from(["", "zero", "pole"]), min_size=n, max_size=n)
+    return GridScan(region=tuple(bounds), resolution=(cols, rows), log_abs=draw(values),
+                    arg=draw(values), flags=np.array(draw(flags), dtype="U4"))
+
+
+_META = st.one_of(st.none(), st.dictionaries(
+    st.text(max_size=8),
+    st.one_of(st.text(max_size=8), _FLOATS, st.integers(), st.lists(st.text(max_size=4))),
+    max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan=_grid_scans(), meta=_META)
+@example(scan=GridScan(region=(-1e-05, 1e+16, -0.0, 5e-324), resolution=(1, 1),
+                       log_abs=np.array([-0.0]), arg=np.array([5e-324]),
+                       flags=np.array([""])),
+         meta={"evaluator": "oscillator_closed", "note": "Z(\u03b2) = \u03a3 e^{-\u03b2E}"})
+@example(scan=GridScan(region=(0.0, 1.0, 0.0, 1.0), resolution=(2, 2),
+                       log_abs=np.array([745.0, -745.0, 1e+16, 1e-05]),
+                       arg=np.array([0.0, 0.0, -1e-05, math.pi]),
+                       flags=np.array(["pole", "zero", "", ""])),
+         meta={"nodes": "nodes placeholder", "region": [[0.0]]})
+def test_streaming_writers_match_the_reference(tmp_path_factory, scan, meta):
+    out = tmp_path_factory.mktemp("writers")
+    write_csv(scan, out / "got.csv")
+    _reference_write_csv(scan, out / "want.csv")
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+    write_json(scan, out / "got.json", meta=meta)
+    _reference_write_json(scan, out / "want.json", meta=meta)
+    assert (out / "got.json").read_bytes() == (out / "want.json").read_bytes()
+
+
+def test_grid_scan_rejects_non_finite_values():
+    # the writers print repr, which json writes only for finite floats
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="log_abs and arg must be finite"):
+            GridScan(region=(0.0, 1.0, 0.0, 1.0), resolution=(1, 1),
+                     log_abs=np.array([0.0]), arg=np.array([bad]), flags=np.array([""]))
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_json], ids=["csv", "json"])
+def test_writers_memory_is_flat(tmp_path, writer):
+    # a tuple per node, or the whole JSON document as one string, peaks at
+    # 10.8 MiB (CSV) and 40.7 MiB (JSON) on this grid
+    scan = grid_scan("oscillator_closed", (-2.0, 2.0, -0.5, 7.0), (481, 321), {"e0": TWO_PI})
+    tracemalloc.start()
+    try:
+        writer(scan, tmp_path / "scan.out")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def test_csv_writer_layout(tmp_path):
     scan = grid_scan("oscillator_closed", (-0.5, 0.5, 0.5, 1.5), (3, 2))
     p = tmp_path / "scan.csv"
@@ -713,8 +822,7 @@ _SPECTRUM = '{"modes": [[1.0, -1.0]], "temperature": 1.0}'
      "scan region must be finite"),
     (None, ["scan", "--evaluator", "zeta_em", "--region", "0", "1", "nan", "1"],
      "scan region must be finite"),
-    # argparse takes "-1e308" for an option; it reads the integer -10**308 as a value
-    (None, ["scan", "--evaluator", "oscillator_closed", "--region", str(-10 ** 308), "1e308",
+    (None, ["scan", "--evaluator", "oscillator_closed", "--region", "-1e308", "1e308",
             "-1", "1", "--cols", "3", "--rows", "3"], "scan region width must be finite"),
     (None, ["oscillator", "--beta", "nan"], "--beta must be finite, got nan"),
     (None, ["oscillator", "--beta-im", "inf"], "--beta-im must be finite, got inf"),
@@ -722,6 +830,8 @@ _SPECTRUM = '{"modes": [[1.0, -1.0]], "temperature": 1.0}'
     # e^(-beta) rounds to 1 at 1e-17, where the direct sum's tail is undefined
     (None, ["oscillator", "--beta", "1e-17"], "got Re(beta)*gap = 1e-17"),
     (None, ["oscillator", "--beta", "1e-15"], "closed form has a pole at beta*gap = 2*pi*i*0"),
+    (None, ["oscillator", "--beta", "-1e-3"], "got Re(beta)*gap = -0.001"),
+    (None, ["zeta", "explicit", "--x", "-1E+300"], "explicit formula needs x > 1, got -1e+300"),
     (None, ["scan", "--evaluator", "oscillator_closed", "--e0", "inf", *_GRID],
      "--e0 must be finite, got inf"),
     (None, ["zeta", "compare", "--re", "nan"], "--re must be finite, got nan"),
@@ -734,7 +844,7 @@ _SPECTRUM = '{"modes": [[1.0, -1.0]], "temperature": 1.0}'
 ], ids=["nan_mode_scan", "nan_mode_fit", "nan_mode_oneloop", "nan_action_scan",
         "inf_temperature", "inf_pol", "inf_zero_explicit", "inf_zero_scan",
         "inf_region", "nan_region", "wide_region", "nan_beta", "inf_beta_im", "nan_e0", "tiny_beta",
-        "small_beta", "inf_scan_e0",
+        "small_beta", "negative_exponent_beta", "negative_exponent_x", "inf_scan_e0",
         "nan_re", "inf_im", "inf_x", "nan_delta", "huge_zero_count"])
 def test_cli_non_finite_input_exits_2(tmp_path, capsys, text, argv, message):
     f = tmp_path / "input.txt"
@@ -747,6 +857,46 @@ def test_cli_non_finite_input_exits_2(tmp_path, capsys, text, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (str(f) if message == "FILE" else message) in err
+
+
+# every float option of every subcommand, after the arguments it requires
+_FLOAT_OPTIONS = [
+    (["oscillator"], "--beta", "beta"),
+    (["oscillator"], "--beta-im", "beta_im"),
+    (["oscillator"], "--e0", "e0"),
+    (["zeta", "compare"], "--re", "re"),
+    (["zeta", "compare"], "--im", "im"),
+    (["zeta", "explicit"], "--x", "x"),
+    (["qnm", "oneloop", "--spectrum", "s.json"], "--delta", "delta"),
+    (["qnm", "fit", "--spectrum", "s.json"], "--tail-fraction", "tail_fraction"),
+    (["scan", "--evaluator", "oscillator_closed", "--region", "0", "1", "0", "1"], "--e0", "e0"),
+]
+
+
+@pytest.mark.parametrize("value", ["-1e5", "-1e-3", "-1E+300"])
+@pytest.mark.parametrize("command, option, dest", _FLOAT_OPTIONS,
+                         ids=[" ".join([w for w in c[:2] if w[0] != "-"] + [o]) for c, o, _ in _FLOAT_OPTIONS])
+def test_cli_reads_negative_exponent_notation(command, option, dest, value):
+    # argparse's default pattern reads only -12 and -1.5 forms as negative
+    # numbers; it took -1e5 for an option and exited 1
+    args = scan_cli._build_parser().parse_args(command + [option, value])
+    assert getattr(args, dest) == float(value)
+
+
+@pytest.mark.parametrize("command", [["scan", "--evaluator", "oscillator_closed"],
+                                     ["qnm", "scan", "--spectrum", "s.json"]],
+                         ids=["scan", "qnm_scan"])
+def test_cli_region_reads_negative_exponent_notation(command):
+    region = ["-1e5", "-1e-3", "-1E+300", "-1e1"]
+    args = scan_cli._build_parser().parse_args(command + ["--region", *region])
+    assert args.region == [float(v) for v in region]
+
+
+def test_cli_scan_over_a_region_in_exponent_notation(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert cli_dispatch(["scan", "--evaluator", "oscillator_closed", "--region", "-1e5", "-1e-3",
+                         "-1E+0", "1", "--cols", "3", "--rows", "3", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("-100000.0,-1.0,")
 
 
 @pytest.fixture(scope="module")
@@ -801,6 +951,40 @@ def test_cli_negative_zero_count_exits_2(capsys, zeros5, with_file):
         argv += ["--zeros-file", str(zeros5[1])]
     assert cli_dispatch(argv) == 2
     assert capsys.readouterr().err == "error: zero_count must be >= 0, got -1\n"
+
+
+_TOWER = QNMSpectrum(modes=tuple(complex(0.0, -(n + 1.0)) for n in range(8)),
+                     temperature=1.0 / TWO_PI, euclidean_action=1.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oscillator", "--beta", "1", "--beta-im", "0.5"],
+    ["zeta", "compare", "--re", "2", "--im", "3", "--zeros-file", "ZEROS"],
+    ["zeta", "explicit", "--x", "20.5", "--zeros-file", "ZEROS"],
+    ["qnm", "oneloop", "--spectrum", "SPECTRUM"],
+    ["qnm", "fit", "--spectrum", "SPECTRUM"],
+], ids=["oscillator", "zeta_compare", "zeta_explicit", "qnm_oneloop", "qnm_fit"])
+def test_cli_csv_tables_match_csv_writer(tmp_path, monkeypatch, zeros5, argv):
+    # tables are written by joining fields with commas; none needs quoting,
+    # so the bytes are csv.writer's
+    spectrum = tmp_path / "tower.json"
+    spectrum.write_text(qnm_to_json(_TOWER))
+    files = {"ZEROS": str(zeros5[1]), "SPECTRUM": str(spectrum)}
+    tables = []
+    emit = scan_cli._emit_table
+
+    def spy(columns, rows, args):
+        tables.append((columns, rows))
+        emit(columns, rows, args)
+    monkeypatch.setattr(scan_cli, "_emit_table", spy)
+    out = tmp_path / "table.csv"
+    assert cli_dispatch([files.get(a, a) for a in argv] + ["--out", str(out)]) == 0
+    (columns, rows), = tables
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([scan_cli._fmt(v, precise=True) for v in row] for row in rows)
+    assert out.read_bytes() == want.getvalue().encode()
 
 
 # four scans, then the two functions that need log-gamma, in one process
