@@ -1,11 +1,12 @@
 """Shared numerical kernels.
 
 The result and signal types every route returns or raises, the
-pole-lattice mask, the real trigamma that gives the product kernels their
-tail terms, and the principal-branch complex log-gamma on which the QNM
-gamma towers are built: scipy's loggamma behind a pole check, imported on
-the first call, so that a process which never needs log-gamma (every grid
-scan) never loads scipy.
+pole-lattice mask, the Hurwitz zeta for integer s (the power sums of the
+oscillator's far-factor series; its s = 2 case, trigamma, gives the
+product kernels their tail terms), and the principal-branch complex
+log-gamma on which the QNM gamma towers are built: scipy's loggamma behind
+a pole check, imported on the first call, so that a process which never
+needs log-gamma (every grid scan) never loads scipy.
 
 Every product and closed form is one array kernel over nodes whose only
 status signal is log Z = +inf at a pole, Re log Z = -inf at a zero; its
@@ -13,12 +14,14 @@ scalar is a one-node call.  The kernels share three helpers: node chunks
 bounding every node x factor temporary to CHUNK_ELEMENTS, the pole-lattice
 mask, and the per-node error estimate |Z| * (error of log Z) in log domain.
 
-All functions are pure; nothing here holds mutable state.
+All functions are pure; the only state is the memo of the Hurwitz zeta's
+series coefficients, built on first use.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -184,23 +187,81 @@ def result_from_value(value: complex, error_estimate: float = 0.0,
                             terms_used=int(terms_used))
 
 
-def trigamma(x: float) -> float:
-    """psi'(x) = sum_{n>=0} 1/(x+n)^2 for real x > 0, within 2 ulp.
+@functools.cache
+def _even_bernoulli() -> tuple[float, ...]:
+    """B_2, B_4, .., B_32, each rounded once from its exact value
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), with the tangent numbers
+    T_k = 1, 2, 16, 272, ... from the integer recurrence of Brent and
+    Harvey, Fast computation of Bernoulli, tangent and secant numbers
+    (2011), Algorithm TangentNumbers."""
+    n = 16
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple((-1) ** (k - 1) * 2 * k * t[k] / (4 ** k * (4 ** k - 1)) for k in range(1, n + 1))
 
-    The recurrence psi'(x) = 1/x^2 + psi'(x+1) carries x to 32 or beyond,
-    where the asymptotic series 1/x + 1/2x^2 + sum_k B_2k/x^(2k+1) through
-    B_10 is left with a term below 3e-19 relative; fsum adds the parts.
+
+@functools.cache
+def _euler_maclaurin(s: int) -> tuple[float, tuple[float, ...]]:
+    """Start y0 = max(32, s) of hurwitz_zeta's asymptotic series and its
+    coefficients a_k = B_2k (s)_(2k-1) / (2k)!, k = 1..K.
+
+    K is the fewest terms whose first omitted term, a_(K+1) y0^(-s-2K-1),
+    is below 2^-60 of the leading y0^(1-s)/(s-1): for t^-s, whose even
+    derivatives are all positive, that term bounds the remainder.  s = 2
+    gives y0 = 32 and B_2..B_10.
     """
-    x = float(x)
+    y0 = max(32, s)
+    coefficients = []
+    rising = s / 2                  # (s)_(2k-1) / (2k)!, k = 1
+    k = 1
+    while True:
+        a = _even_bernoulli()[k - 1] * rising
+        if abs(a) * (s - 1) < float(y0) ** (2 * k) * 2.0 ** -60:
+            return float(y0), tuple(coefficients)
+        coefficients.append(a)
+        rising *= (s + 2 * k - 1) * (s + 2 * k) / ((2 * k + 1) * (2 * k + 2))
+        k += 1
+
+
+def hurwitz_zeta(s: int, x: float) -> float:
+    """zeta(s, x) = sum_{n>=0} (x+n)^-s for integer s >= 2 and real x > 0.
+
+    The recurrence zeta(s, x) = x^-s + zeta(s, x+1) carries x to
+    y >= max(32, s), where the Euler-Maclaurin series
+    y^-s [y/(s-1) + 1/2 + sum_k a_k y^(1-2k)] is cut below 2^-60 relative
+    (see _euler_maclaurin); fsum adds the parts.  The cost does not grow
+    with x.  Where every shift x + k is exact (integer x, say) the result
+    is within 3 ulp while it is a normal float; a shift that rounds adds up
+    to s/2 ulp.  Each power is formed so that s = 2 does trigamma's
+    arithmetic exactly: y^0 is exactly 1.
+    """
+    if s != int(s) or s < 2 or not x > 0:
+        raise ValueError(f"hurwitz_zeta needs integer s >= 2 and x > 0, got s={s}, x={x}")
+    s, x = int(s), float(x)
+    y0, coefficients = _euler_maclaurin(s)
     parts = []
-    while x < 32.0:
-        parts.append(1.0 / (x * x))
+    while x < y0:
+        parts.append(1.0 / (x ** (s - 2) * (x * x)))
         x += 1.0
     t = 1.0 / x
     t2 = t * t
-    parts.append(t + 0.5 * t2 + t * t2 * (
-        1.0 / 6.0 + t2 * (-1.0 / 30.0 + t2 * (1.0 / 42.0 + t2 * (-1.0 / 30.0 + t2 * (5.0 / 66.0))))))
+    ts = x ** (2 - s) * t           # x^(1-s)
+    p = coefficients[-1]
+    for a in coefficients[-2::-1]:
+        p = a + t2 * p
+    parts.append(ts / (s - 1) + 0.5 * (ts * t) + ts * t2 * p)
     return math.fsum(parts)
+
+
+def trigamma(x: float) -> float:
+    """psi'(x) = hurwitz_zeta(2, x) for real x > 0, within 2 ulp: the
+    recurrence to 32 or beyond, then 1/x + 1/2x^2 + sum_k B_2k/x^(2k+1)
+    through B_10, left with a term below 3e-19 relative."""
+    return hurwitz_zeta(2, x)
 
 
 def log_gamma(z: complex) -> complex:

@@ -25,6 +25,7 @@ spectra: zeta.hadamard_product, qnm.conjectured_partition_log.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
@@ -34,6 +35,7 @@ from .core import (
     EvaluationResult,
     PoleError,
     TWO_PI,
+    hurwitz_zeta,
     lattice_pole_mask,
     node_chunks,
     result_from_log,
@@ -85,12 +87,38 @@ def pole_product_oscillator(beta: complex, e0: float, n_factors: int = 1000,
     return result_from_log(log_z[0], err[0], terms[0])
 
 
-def _aligned_empty(shape) -> np.ndarray:
-    """Uninitialized float64 array whose data starts on a 64-byte boundary."""
-    n = int(np.prod(shape))
-    raw = np.empty(n + 8)
-    start = (-raw.ctypes.data % 64) // 8
-    return raw[start:start + n].reshape(shape)
+# Terms J of the oscillator's far-factor series, and the most rows (values
+# of n0) of its power-sum table; see pole_product_oscillator_array.
+_SERIES_TERMS = 30
+_TABLE_ROWS = 1024
+
+
+@functools.lru_cache(maxsize=8)
+def _far_series(n_factors: int) -> tuple[np.ndarray, np.ndarray]:
+    """The far-factor series of pole_product_oscillator_array for
+    n0 = 0 .. L-1, L = min(N, _TABLE_ROWS), with J = _SERIES_TERMS:
+    (a, log r), a[n0, j-1] = (-1)^(j+1) S_j(n0) / j and
+    log r[n0] = log((4/3)/(J+1) S_(J+1)(n0)), where
+    S_j(n0) = sum_{n0 < n <= N} n^-2j.  Row L (a node without far
+    factors) is a = 0, log r = -inf.
+
+    Each S_j(n0) adds n^-2j from n = L down to n0 + 1 onto
+    S_j(L) = zeta(2j, L+1) - zeta(2j, N+1), so no row costs O(N).
+    """
+    rows = min(n_factors, _TABLE_ROWS)
+    j = np.arange(1, _SERIES_TERMS + 2)
+    if rows < n_factors:
+        start = [hurwitz_zeta(2 * k, rows + 1) - hurwitz_zeta(2 * k, n_factors + 1)
+                 for k in j.tolist()]
+    else:
+        start = np.zeros(j.size)
+    powers = np.arange(rows, 0, -1, dtype=np.float64)[:, None] ** (-2 * j)
+    sums = np.cumsum(np.vstack([start, powers]), axis=0)[::-1]
+    sums[rows] = 0.0
+    j = j[:-1]
+    with np.errstate(divide="ignore"):
+        log_remainder = math.log(4.0 / 3.0 / (_SERIES_TERMS + 1)) + np.log(sums[:, -1])
+    return sums[:, :-1] * ((-1.0) ** (j + 1) / j), log_remainder
 
 
 def pole_product_oscillator_array(beta: np.ndarray, e0: float, n_factors: int = 1000,
@@ -98,45 +126,66 @@ def pole_product_oscillator_array(beta: np.ndarray, e0: float, n_factors: int = 
     """The pole product of pole_product_oscillator on a complex array of
     nodes: (log Z, error_estimate, terms_used) per node.
 
+    With c = x^2/4 pi^2, x = beta E0, a node sums its near factors
+    n <= n0 = ceil(2 sqrt|c|) - 1 directly (n0 raised by one where rounding
+    leaves 4|c| > (n0+1)^2), and its far factors, where |c|/n^2 <= 1/4,
+    as the series sum_{j<=J} (-1)^(j+1)/j c^j S_j(n0), with
+    S_j(n0) = sum_{n0 < n <= N} n^-2j.  Since log(1+w) - its first J
+    terms is at most (4/3)/(J+1) |w|^(J+1) for |w| <= 1/4, the remainder
+    is |R_J| <= (4/3)/(J+1) |c|^(J+1) S_(J+1)(n0) <= (4/3)/(J+1)
+    4^-(J+1) (1 + (n0+1)/(2J+1)); J = 30 keeps it below 2e-19 for every
+    n0 < 1024.  A node whose n0 reaches min(N, 1024) sums all N factors
+    directly.  n0 comes from the node's own c and the direct factors are
+    added in order, so no node's value depends on the other nodes.
+
     log Z is +inf on the lattice.  The error estimate is |Z| times the
-    error of log Z, |c|^2/6N^3 with the tail term and |c trigamma(N+1)|
-    without it.
+    error of log Z: |c|^2/6N^3 with the tail term and |c trigamma(N+1)|
+    without it, plus |R_J|.
     """
     if not e0 > 0:
         raise ValueError(f"oscillator quantum must be positive, got {e0}")
     if n_factors < 1:
         raise ValueError(f"n_factors must be >= 1, got {n_factors}")
+    coefficients, log_remainder = _far_series(n_factors)
+    rows = len(coefficients) - 1
     x_re, x_im = beta.real * e0, beta.imag * e0
-    with np.errstate(over="ignore"):
-        c_re = (x_re * x_re - x_im * x_im) / FOUR_PI_SQ
-        c_im = (x_re * x_im + x_im * x_re) / FOUR_PI_SQ
-    n_sq = _aligned_empty(n_factors)
-    n_sq[:] = np.arange(1, n_factors + 1, dtype=np.float64) ** 2
     sum_abs = np.empty(beta.shape)
     sum_arg = np.empty(beta.shape)
-    # Every chunk works in the same four cache-line-aligned buffers.  With a
-    # fresh temporary per operation the kernel ran up to ~25% slower in some
-    # processes than in others, depending on where malloc placed the arrays.
-    chunks = node_chunks(beta.size, n_factors)
-    rows = min(beta.size, chunks[0].stop) if chunks else 0
-    bufs = [_aligned_empty((rows, n_factors)) for _ in range(4)]
     with np.errstate(all="ignore"):
-        for sl in chunks:
-            w_re, w_im, log_abs, arg = (b[:min(sl.stop, beta.size) - sl.start] for b in bufs)
-            np.divide(c_re[sl, None], n_sq, out=w_re)
-            np.divide(c_im[sl, None], n_sq, out=w_im)
-            near = w_re <= -0.5
-            # log|1 + w| = log1p(w_re (2 + w_re) + w_im^2) / 2, by hypot near w = -1
-            # (1 + w_re is exact there, while the log1p argument cancels)
-            np.add(w_re, 2.0, out=log_abs)
-            log_abs *= w_re
-            log_abs += np.multiply(w_im, w_im, out=arg)
-            np.log1p(log_abs, out=log_abs)
-            log_abs *= 0.5
-            log_abs[near] = np.log(np.hypot(1.0 + w_re[near], w_im[near]))
-            sum_abs[sl] = log_abs.sum(axis=1)
-            np.arctan2(w_im, np.add(w_re, 1.0, out=arg), out=arg)
-            sum_arg[sl] = arg.sum(axis=1)
+        c_re = (x_re * x_re - x_im * x_im) / FOUR_PI_SQ
+        c_im = (x_re * x_im + x_im * x_re) / FOUR_PI_SQ
+        abs_c = np.hypot(c_re, c_im)
+        n0 = np.maximum(np.ceil(2.0 * np.sqrt(abs_c)) - 1.0, 0.0)
+        n0 += 4.0 * abs_c > (n0 + 1.0) ** 2
+        far = n0 < rows                 # false for nan and inf
+        n0 = np.where(far, n0, n_factors).astype(np.intp)
+        row = np.minimum(n0, rows)
+        c = np.where(far, c_re + 1j * c_im, 0.0)
+        widest = int(n0.max(initial=0))
+        n = np.arange(1.0, widest + 1.0)[:, None]
+        n_sq = n * n
+        for sl in node_chunks(beta.size, max(widest, _SERIES_TERMS)):
+            # far factors: c^j by cumprod, times the row of n0
+            powers = np.cumprod(np.repeat(c[sl, None], _SERIES_TERMS, axis=1), axis=1)
+            series = (powers * coefficients[row[sl]]).sum(axis=1)
+            sum_abs[sl], sum_arg[sl] = series.real, series.imag
+            width = int(n0[sl].max())
+            if width:
+                # near factors, one row per factor: cumsum adds the rows in
+                # order, and the -0.0 past a node's n0 changes no bit of it
+                w_re = c_re[sl] / n_sq[:width]
+                w_im = c_im[sl] / n_sq[:width]
+                near = w_re <= -0.5
+                # log|1 + w| = log1p(w_re (2 + w_re) + w_im^2) / 2, by hypot near w = -1
+                # (1 + w_re is exact there, while the log1p argument cancels)
+                log_abs = np.log1p((w_re + 2.0) * w_re + w_im * w_im)
+                log_abs *= 0.5
+                log_abs[near] = np.log(np.hypot(1.0 + w_re[near], w_im[near]))
+                arg = np.arctan2(w_im, w_re + 1.0)
+                past = n[:width] > n0[sl]
+                log_abs[past] = arg[past] = -0.0
+                sum_abs[sl] += np.cumsum(log_abs, axis=0)[-1]
+                sum_arg[sl] += np.cumsum(arg, axis=0)[-1]
         psi1 = trigamma(n_factors + 1)
         log_z = -(np.log(x_re + 1j * x_im) + (sum_abs + 1j * sum_arg))
         # log|c| from log|x|: c itself overflows once |x| > ~1e154
@@ -146,6 +195,7 @@ def pole_product_oscillator_array(beta: np.ndarray, e0: float, n_factors: int = 
             log_err = 2.0 * log_c - math.log(6.0 * float(n_factors) ** 3)
         else:
             log_err = log_c + math.log(psi1)
+        log_err = np.logaddexp(log_err, log_remainder[row] + (_SERIES_TERMS + 1) * log_c)
         error = scaled_error(log_z.real, log_err)
     log_z[lattice_pole_mask(x_re, x_im)] = np.inf
     return log_z, error, np.full(beta.shape, n_factors)

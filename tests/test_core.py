@@ -13,6 +13,7 @@ import spectral_zeros
 from spectral_zeros.core import (
     EvaluationResult,
     PoleError,
+    hurwitz_zeta,
     log_gamma,
     result_from_log,
     scaled_error,
@@ -122,6 +123,61 @@ def test_trigamma_is_scipys_at_1001():
     # so default scans keep the bytes they had with scipy's polygamma
     from scipy.special import polygamma
     assert trigamma(1001.0) == float(polygamma(1, 1001))
+
+
+# trigamma before it became hurwitz_zeta(2, x), as float.hex
+_TRIGAMMA_PINNED = [
+    (0.25, '0x1.1328429d927c6p+4'),
+    (1.0, '0x1.a51a6625307d3p+0'),
+    (1.5, '0x1.de9e64df22ef3p-1'),
+    (2.718281828459045, '0x1.c649419eafaf5p-2'),
+    (7.0, '0x1.3a75e4ee59d08p-3'),
+    (17.3, '0x1.e779aa29a3e7dp-5'),
+    (31.0, '0x1.0c90ecbb22c5bp-5'),
+    (31.999999999999996, '0x1.040aaa223a7b2p-5'),
+    (32.0, '0x1.040aaa223a7b2p-5'),
+    (33.5, '0x1.f07265f58e37ap-6'),
+    (101.0, '0x1.460c0c34527b3p-7'),
+    (201.0, '0x1.46dcb6dde9178p-8'),
+    (1001.0, '0x1.0603521cdb264p-10'),
+    (4097.25, '0x1.ffe800f54dd57p-13'),
+    (100001.0, '0x1.4f8aea9acf2cap-17'),
+    (100000000.0, '0x1.5798ee3fdb763p-27'),
+]
+
+
+@pytest.mark.parametrize("x, bits", _TRIGAMMA_PINNED)
+def test_trigamma_keeps_its_bits(x, bits):
+    # the Hadamard and oscillator tails, and so the scan files, depend on them
+    assert trigamma(x) == float.fromhex(bits)
+
+
+def test_hurwitz_zeta_within_3_ulp_of_mpmath():
+    # every s of the oscillator's far-factor series (2j, j <= 31) and the odd
+    # s between, at x where each shift x + k of the recurrence is exact: the
+    # integers the kernel uses, and eighths.  (A shift that rounds costs up
+    # to s/2 ulp.)  mpmath.zeta(s, x) loses about s log10(x) digits, so the
+    # working precision grows with them.
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.geomspace(1.0, 1e6, 21)
+    xs = sorted({*np.rint(grid).tolist(), *(np.rint(8.0 * grid) / 8.0).tolist(),
+                 31.0, 32.0, 61.0, 62.0, 63.0, 1001.0, 1025.0, 100001.0})
+    for s in range(2, 63):
+        for x in xs:
+            with mpmath.workdps(30 + int(s * math.log10(x + 1.0))):
+                ref = mpmath.zeta(s, mpmath.mpf(x))
+                if ref < 2.0 ** -1022:     # below the normal floats
+                    continue
+                ulps = abs(mpmath.mpf(hurwitz_zeta(s, x)) - ref) / math.ulp(float(ref))
+            assert ulps <= 3, (s, x, float(ulps))
+
+
+def test_hurwitz_zeta_is_trigamma_at_s_2_and_rejects_bad_input():
+    for x, _ in _TRIGAMMA_PINNED:
+        assert hurwitz_zeta(2, x) == trigamma(x)
+    for s, x in ((1, 2.0), (2.5, 2.0), (4, 0.0), (4, -1.5), (4, math.nan)):
+        with pytest.raises(ValueError):
+            hurwitz_zeta(s, x)
 
 
 # ------------------------------------------------------------------ results

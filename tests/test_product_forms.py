@@ -11,13 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import polygamma
 
-from spectral_zeros import product_forms, qnm, spectra, zeta
+from spectral_zeros import product_forms, qnm, scan_cli, spectra, zeta
 from spectral_zeros.core import PoleError, TWO_PI, ZeroHitSignal, lattice_pole_mask
 from spectral_zeros.product_forms import (
     DualitySpacing,
     FOUR_PI_SQ,
     duality_spacing,
     pole_product_oscillator,
+    pole_product_oscillator_array,
     pole_product_oscillator_naive,
 )
 from spectral_zeros.spectra import affine, closed_form_affine, closed_form_oscillator, oscillator, primon
@@ -85,6 +86,91 @@ def test_factor_logs_near_the_poles(k, log10_eps, phase):
     beta = complex(0.0, TWO_PI * k) + 10.0 ** log10_eps * cmath.exp(1j * phase)
     assume(not lattice_pole_mask(beta.real, beta.imag))
     _assert_matches_complex_log_sum(beta)
+
+
+def _near_count(beta, e0):
+    """n0 = ceil(2 sqrt|c|) - 1 of the kernel's docstring, raised by one
+    where 4|c| > (n0+1)^2, with c formed as the kernel forms it."""
+    x_re, x_im = beta.real * e0, beta.imag * e0
+    abs_c = np.hypot((x_re * x_re - x_im * x_im) / FOUR_PI_SQ,
+                     (x_re * x_im + x_im * x_re) / FOUR_PI_SQ)
+    n0 = np.maximum(np.ceil(2.0 * np.sqrt(abs_c)) - 1.0, 0.0)
+    return n0 + (4.0 * abs_c > (n0 + 1.0) ** 2), abs_c
+
+
+@pytest.mark.parametrize("n_factors", [1, 2, 8, 1000])
+def test_scan_nodes_equal_one_node_calls_bit_for_bit(n_factors):
+    # |beta| up to 1.3 pi (N + 1) gives nodes with n0 = 0, with n0 in
+    # between and with all N factors direct; a chunk mixes them, so a
+    # node's n0 is not its chunk's widest.  A node's value must not depend
+    # on its neighbours.
+    height = 1.3 * math.pi * (n_factors + 1)
+    re_axis, im_axis = np.linspace(-2.5, 2.5, 9), np.linspace(-height, height, 161)
+    z = (re_axis + 1j * im_axis[:, None]).ravel()
+    n0, _ = _near_count(z, 1.0)
+    assert n0.min() == 0 and n0.max() > n_factors
+    if n_factors > 2:
+        assert np.count_nonzero((0 < n0) & (n0 < n_factors)) > 50
+    log_z, error, _ = pole_product_oscillator_array(z, 1.0, n_factors)
+    scan = scan_cli.make_evaluator("oscillator_product", e0=1.0, n_factors=n_factors)(z)
+    assert np.array_equal(scan, log_z)
+    for k, beta in enumerate(z.tolist()):
+        if log_z[k] == math.inf:
+            with pytest.raises(PoleError):
+                pole_product_oscillator(beta, 1.0, n_factors)
+            continue
+        r = pole_product_oscillator(beta, 1.0, n_factors)
+        assert np.array_equal(r.log_value, log_z[k]) and r.error_estimate == error[k], beta
+
+
+def _quarter_node(r, theta):
+    """beta (E0 = 1) of phase theta with |c|/r^2 the largest float <= 1/4:
+    n0 = r - 1, the far factor n = r at the series' worst ratio."""
+    beta = cmath.rect(math.pi * r, theta)
+    while True:
+        n0, abs_c = _near_count(np.array([beta]), 1.0)
+        if n0[0] == r - 1:
+            return beta, abs_c[0] / r ** 2
+        beta *= 1.0 - 2.0 ** -52
+
+
+def _truncated_product_mp(beta, n_factors):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        x = mpmath.mpc(beta)
+        c = x * x / (4 * mpmath.pi ** 2)
+        logs = mpmath.fsum(mpmath.log(1 + c / (n * n)) for n in range(1, n_factors + 1))
+        return complex(-(mpmath.log(x) + logs) - c * mpmath.psi(1, n_factors + 1))
+
+
+# rounding of the kernel against the exact truncated product, relative to
+# max(1, |log Z|): 1e-14 (~45 ulp); the worst seen is 2e-15
+_ROUNDING = 1e-14
+
+
+def _assert_within_estimate(beta, n_factors):
+    r = pole_product_oscillator(beta, 1.0, n_factors)
+    want = _truncated_product_mp(beta, n_factors)
+    rounding = _ROUNDING * max(1.0, abs(want))
+    assert abs(r.log_value.real - want.real) <= rounding, beta
+    assert abs(math.remainder(r.log_value.imag - want.imag, TWO_PI)) <= rounding, beta
+    assert abs(r.value - cmath.exp(want)) <= r.error_estimate + rounding * abs(r.value), beta
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 17, 100, 513, 1000])
+def test_far_series_at_its_worst_ratio(r):
+    # |c|/(n0+1)^2 as close to 1/4 as floats allow, at phases away from the
+    # imaginary axis, where x = i pi r is a lattice pole for even r
+    for theta in (0.0, 0.3, math.pi / 4, 1.2, 2.0, 2.8):
+        beta, ratio = _quarter_node(r, theta)
+        assert 0.25 - 1e-15 < ratio <= 0.25
+        _assert_within_estimate(beta, 1000)
+
+
+def test_far_series_at_100000_factors():
+    # n0 = 6 direct factors, the other 99994 from the power sums
+    beta, _ = _quarter_node(7, 0.7)
+    _assert_within_estimate(beta, 100000)
 
 
 def test_pole_signal_on_the_lattice():
