@@ -3,7 +3,8 @@
 The result and signal types every route returns or raises, the
 pole-lattice mask, the Hurwitz zeta for integer s (the power sums of the
 oscillator's far-factor series; its s = 2 case, trigamma, gives the
-product kernels their tail terms), and the principal-branch complex
+product kernels their tail terms) with its table of even Bernoulli
+numbers, which zeta.zeta_em reads too, and the principal-branch complex
 log-gamma on which the QNM gamma towers are built: scipy's loggamma behind
 a pole check, imported on the first call, so that a process which never
 needs log-gamma (every grid scan) never loads scipy.
@@ -29,9 +30,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 HALF_LOG_TWO_PI = 0.5 * math.log(TWO_PI)
-
-# Largest x with exp(x) finite in IEEE double.
-EXP_OVERFLOW = 709.0
 
 # Smallest x with exp(x) > 0 in IEEE double: below it result_from_log's
 # value is exactly 0, and grid_scan flags a node with Re log Z below it.
@@ -165,10 +163,13 @@ def result_from_log(log_value: complex, error_estimate: float = 0.0,
         raise OverflowError(f"log value {log_value} is not a number: an intermediate overflowed")
     if log_value.real == -math.inf:
         value = 0j
-    elif log_value.real > EXP_OVERFLOW:
-        value = complex(math.inf, 0.0)  # phase dropped on overflow
+    elif log_value.real == math.inf:
+        value = complex(math.inf, 0.0)
     else:
-        value = cmath.exp(log_value)
+        try:
+            value = cmath.exp(log_value)
+        except OverflowError:           # past log(DBL_MAX) = 709.78...
+            value = complex(math.inf, 0.0)  # phase dropped on overflow
     return EvaluationResult(value=value, log_value=log_value,
                             error_estimate=float(error_estimate),
                             terms_used=int(terms_used))
@@ -187,7 +188,6 @@ def result_from_value(value: complex, error_estimate: float = 0.0,
                             terms_used=int(terms_used))
 
 
-@functools.cache
 def _even_bernoulli() -> tuple[float, ...]:
     """B_2, B_4, .., B_32, each rounded once from its exact value
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), with the tangent numbers
@@ -202,6 +202,11 @@ def _even_bernoulli() -> tuple[float, ...]:
         for j in range(k, n + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
     return tuple((-1) ** (k - 1) * 2 * k * t[k] / (4 ** k * (4 ** k - 1)) for k in range(1, n + 1))
+
+
+# the coefficients of hurwitz_zeta's and zeta.zeta_em's Euler-Maclaurin
+# series: data both routes read, while neither calls the other
+EVEN_BERNOULLI = _even_bernoulli()
 
 
 @functools.cache
@@ -219,7 +224,7 @@ def _euler_maclaurin(s: int) -> tuple[float, tuple[float, ...]]:
     rising = s / 2                  # (s)_(2k-1) / (2k)!, k = 1
     k = 1
     while True:
-        a = _even_bernoulli()[k - 1] * rising
+        a = EVEN_BERNOULLI[k - 1] * rising
         if abs(a) * (s - 1) < float(y0) ** (2 * k) * 2.0 ** -60:
             return float(y0), tuple(coefficients)
         coefficients.append(a)
@@ -236,8 +241,9 @@ def hurwitz_zeta(s: int, x: float) -> float:
     (see _euler_maclaurin); fsum adds the parts.  The cost does not grow
     with x.  Where every shift x + k is exact (integer x, say) the result
     is within 3 ulp while it is a normal float; a shift that rounds adds up
-    to s/2 ulp.  Each power is formed so that s = 2 does trigamma's
-    arithmetic exactly: y^0 is exactly 1.
+    to s/2 ulp.  s = 2 is trigamma, psi'(x), within 2 ulp; each power is
+    formed so that s = 2 keeps the trigamma bits the scan files depend
+    on: y^0 is exactly 1.
     """
     if s != int(s) or s < 2 or not x > 0:
         raise ValueError(f"hurwitz_zeta needs integer s >= 2 and x > 0, got s={s}, x={x}")
@@ -255,13 +261,6 @@ def hurwitz_zeta(s: int, x: float) -> float:
         p = a + t2 * p
     parts.append(ts / (s - 1) + 0.5 * (ts * t) + ts * t2 * p)
     return math.fsum(parts)
-
-
-def trigamma(x: float) -> float:
-    """psi'(x) = hurwitz_zeta(2, x) for real x > 0, within 2 ulp: the
-    recurrence to 32 or beyond, then 1/x + 1/2x^2 + sum_k B_2k/x^(2k+1)
-    through B_10, left with a term below 3e-19 relative."""
-    return hurwitz_zeta(2, x)
 
 
 def log_gamma(z: complex) -> complex:

@@ -40,7 +40,6 @@ from .core import (
     node_chunks,
     result_from_log,
     scaled_error,
-    trigamma,
 )
 from .spectra import Spectrum
 
@@ -66,20 +65,18 @@ def duality_spacing(spec: Spectrum) -> DualitySpacing:
                           product=complex(0.0, TWO_PI))
 
 
-def pole_product_oscillator(beta: complex, e0: float, n_factors: int = 1000,
-                            tail_correction: bool = True) -> EvaluationResult:
+def pole_product_oscillator(beta: complex, e0: float, n_factors: int = 1000) -> EvaluationResult:
     """Oscillator partition rebuilt from its pole lattice alone:
 
         Z = 1 / [ beta E0 prod_{n=1}^{N} (1 + beta^2 E0^2 / 4 pi^2 n^2) ]
 
-    optionally times exp(-beta^2 E0^2/(4 pi^2) * trigamma(N+1)), the
-    first-order estimate of the omitted tail (residual O(c^2/N^3) with
-    c = beta^2 E0^2 / 4 pi^2).  One node of pole_product_oscillator_array;
+    times exp(-c psi'(N+1)), c = beta^2 E0^2 / 4 pi^2, the first-order
+    estimate of the omitted tail (residual O(c^2/N^3)); psi'(N+1) is
+    hurwitz_zeta(2, N+1).  One node of pole_product_oscillator_array;
     raises PoleError carrying k on the lattice beta E0 = 2 pi i k.
     """
     beta = complex(beta)
-    log_z, err, terms = pole_product_oscillator_array(
-        np.array([beta]), e0, n_factors, tail_correction)
+    log_z, err, terms = pole_product_oscillator_array(np.array([beta]), e0, n_factors)
     if log_z[0] == math.inf:
         k = round((beta * e0).imag / TWO_PI)
         raise PoleError(f"pole of the product at beta*E0 = 2*pi*i*{k}",
@@ -121,8 +118,7 @@ def _far_series(n_factors: int) -> tuple[np.ndarray, np.ndarray]:
     return sums[:, :-1] * ((-1.0) ** (j + 1) / j), log_remainder
 
 
-def pole_product_oscillator_array(beta: np.ndarray, e0: float, n_factors: int = 1000,
-                                  tail_correction: bool = True):
+def pole_product_oscillator_array(beta: np.ndarray, e0: float, n_factors: int = 1000):
     """The pole product of pole_product_oscillator on a complex array of
     nodes: (log Z, error_estimate, terms_used) per node.
 
@@ -139,8 +135,7 @@ def pole_product_oscillator_array(beta: np.ndarray, e0: float, n_factors: int = 
     added in order, so no node's value depends on the other nodes.
 
     log Z is +inf on the lattice.  The error estimate is |Z| times the
-    error of log Z: |c|^2/6N^3 with the tail term and |c trigamma(N+1)|
-    without it, plus |R_J|.
+    error of log Z: |c|^2/6N^3, left by the tail term, plus |R_J|.
     """
     if not e0 > 0:
         raise ValueError(f"oscillator quantum must be positive, got {e0}")
@@ -186,16 +181,13 @@ def pole_product_oscillator_array(beta: np.ndarray, e0: float, n_factors: int = 
                 log_abs[past] = arg[past] = -0.0
                 sum_abs[sl] += np.cumsum(log_abs, axis=0)[-1]
                 sum_arg[sl] += np.cumsum(arg, axis=0)[-1]
-        psi1 = trigamma(n_factors + 1)
+        psi1 = hurwitz_zeta(2, n_factors + 1)
         log_z = -(np.log(x_re + 1j * x_im) + (sum_abs + 1j * sum_arg))
+        log_z -= (c_re * psi1) + 1j * (c_im * psi1)
         # log|c| from log|x|: c itself overflows once |x| > ~1e154
         log_c = 2.0 * np.log(np.hypot(x_re, x_im)) - math.log(FOUR_PI_SQ)
-        if tail_correction:
-            log_z -= (c_re * psi1) + 1j * (c_im * psi1)
-            log_err = 2.0 * log_c - math.log(6.0 * float(n_factors) ** 3)
-        else:
-            log_err = log_c + math.log(psi1)
-        log_err = np.logaddexp(log_err, log_remainder[row] + (_SERIES_TERMS + 1) * log_c)
+        log_err = np.logaddexp(2.0 * log_c - math.log(6.0 * float(n_factors) ** 3),
+                               log_remainder[row] + (_SERIES_TERMS + 1) * log_c)
         error = scaled_error(log_z.real, log_err)
     log_z[lattice_pole_mask(x_re, x_im)] = np.inf
     return log_z, error, np.full(beta.shape, n_factors)

@@ -37,16 +37,17 @@ import numpy as np
 from .core import (
     AccuracyWarning,
     DivergenceDomainError,
+    EVEN_BERNOULLI,
     EvaluationResult,
     NumericalDomainError,
     PoleError,
     TWO_PI,
     ZeroHitSignal,
+    hurwitz_zeta,
     node_chunks,
     result_from_log,
     result_from_value,
     scaled_error,
-    trigamma,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -54,25 +55,15 @@ EULER_GAMMA = 0.5772156649015329
 LOG_PI = math.log(math.pi)
 LOG_TWO = math.log(2.0)
 
-# B_{2k} for k = 1..9; k=9 only feeds the error estimate of order-8 runs
-_BERNOULLI_EVEN = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-    43867.0 / 798.0,
-)
+# Euler-Maclaurin corrections q of zeta_em; B_2(q+1) gives its error estimate
+_EM_CORRECTIONS = 6
 
 # M, the gamma-factor terms of hadamard_product, their divisors 2n, the
 # trigamma tail psi'(M+1) and the coefficient of beta in log Z:
 # (gamma_E + ln pi)/2 from the prefactor, -H_M/2 = -sum 1/2n from the e^{-beta/2n}
 _GAMMA_FACTOR_TERMS = 200
 _TWO_N = 2.0 * np.arange(1, _GAMMA_FACTOR_TERMS + 1, dtype=np.float64)
-_TRIGAMMA_TAIL = trigamma(_GAMMA_FACTOR_TERMS + 1)
+_TRIGAMMA_TAIL = hurwitz_zeta(2, _GAMMA_FACTOR_TERMS + 1)
 _LINEAR = (EULER_GAMMA + LOG_PI) / 2.0 - math.fsum(1.0 / _TWO_N)
 
 # step of the critical-line sign scan in find_zeros and the bisection
@@ -165,12 +156,13 @@ class ZetaZeroTable:
         return len(self.ordinates)
 
 
-def zeta_em(s: complex, cutoff: int = 100, correction_order: int = 6) -> EvaluationResult:
+def zeta_em(s: complex, cutoff: int = 100) -> EvaluationResult:
     """Euler-Maclaurin continuation of the Dirichlet series:
 
         sum_{n<N} n^{-s} + N^{1-s}/(s-1) + N^{-s}/2
           + sum_{k=1}^{q} B_{2k}/(2k)! * (s)(s+1)...(s+2k-2) * N^{-s-2k+1}
 
+    with q = 6 corrections, their B_2k read from core.EVEN_BERNOULLI.
     Ten-significant-digit accuracy holds for |Im s| <= (cutoff-50)/2 and
     Re s >= -5; outside that an AccuracyWarning is emitted but the value
     is still returned.  error_estimate is the first omitted correction
@@ -183,8 +175,6 @@ def zeta_em(s: complex, cutoff: int = 100, correction_order: int = 6) -> Evaluat
         raise PoleError("zeta has its simple pole at s=1", location=s, nearest=1)
     if cutoff < 10:
         raise ValueError(f"cutoff must be >= 10, got {cutoff}")
-    if not 1 <= correction_order <= 8:
-        raise ValueError(f"correction_order must be in [1, 8], got {correction_order}")
     if abs(s.imag) > (cutoff - 50) / 2.0 or s.real < -5.0:
         warnings.warn(
             f"s={s} outside the validated window for cutoff={cutoff} "
@@ -199,21 +189,21 @@ def zeta_em(s: complex, cutoff: int = 100, correction_order: int = 6) -> Evaluat
     rising = s                      # (s)(s+1)...(s+2k-2), grown incrementally
     fact = 2.0                      # (2k)!
     npow = cutoff ** (-s - 1.0)     # N^{-s-2k+1}
-    for k in range(1, correction_order + 1):
+    for k in range(1, _EM_CORRECTIONS + 1):
         if npow == 0:
             # every later term underflows too, while rising may have
             # overflowed: 0 * inf would make the sum NaN
             break
-        total += _BERNOULLI_EVEN[k - 1] / fact * rising * npow
+        total += EVEN_BERNOULLI[k - 1] / fact * rising * npow
         rising *= (s + (2 * k - 1)) * (s + 2 * k)
         fact *= (2 * k + 1) * (2 * k + 2)
         npow /= cutoff * cutoff
-    omitted = 0.0 if npow == 0 else abs(_BERNOULLI_EVEN[correction_order] / fact * rising * npow)
-    return result_from_value(total, omitted, cutoff + correction_order)
+    omitted = 0.0 if npow == 0 else abs(EVEN_BERNOULLI[_EM_CORRECTIONS] / fact * rising * npow)
+    return result_from_value(total, omitted, cutoff + _EM_CORRECTIONS)
 
 
 def zeta_em_array(s: np.ndarray, cutoff: int | None = None) -> np.ndarray:
-    """zeta_em (correction order 6) for grid scans: log zeta per point of
+    """zeta_em for grid scans: log zeta per point of
     a complex array, from one scalar call per point; ``cutoff=None`` takes
     the adaptive cutoff of each point's Im s.  log zeta is +inf at the pole
     1, and Re log zeta is -inf where the sum is exactly 0.

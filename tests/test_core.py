@@ -17,7 +17,6 @@ from spectral_zeros.core import (
     log_gamma,
     result_from_log,
     scaled_error,
-    trigamma,
 )
 
 
@@ -114,7 +113,7 @@ def test_trigamma_within_2_ulp_of_mpmath():
     with mpmath.workdps(40):
         for x in xs:
             ref = mpmath.psi(1, mpmath.mpf(x))
-            ulps = abs(mpmath.mpf(trigamma(x)) - ref) / math.ulp(float(ref))
+            ulps = abs(mpmath.mpf(hurwitz_zeta(2, x)) - ref) / math.ulp(float(ref))
             assert ulps <= 2, (x, float(ulps))
 
 
@@ -122,10 +121,10 @@ def test_trigamma_is_scipys_at_1001():
     # psi'(1001) is the tail of the default 1000-factor oscillator product,
     # so default scans keep the bytes they had with scipy's polygamma
     from scipy.special import polygamma
-    assert trigamma(1001.0) == float(polygamma(1, 1001))
+    assert hurwitz_zeta(2, 1001.0) == float(polygamma(1, 1001))
 
 
-# trigamma before it became hurwitz_zeta(2, x), as float.hex
+# trigamma psi'(x) = hurwitz_zeta(2, x) at its pinned bits, as float.hex
 _TRIGAMMA_PINNED = [
     (0.25, '0x1.1328429d927c6p+4'),
     (1.0, '0x1.a51a6625307d3p+0'),
@@ -149,7 +148,7 @@ _TRIGAMMA_PINNED = [
 @pytest.mark.parametrize("x, bits", _TRIGAMMA_PINNED)
 def test_trigamma_keeps_its_bits(x, bits):
     # the Hadamard and oscillator tails, and so the scan files, depend on them
-    assert trigamma(x) == float.fromhex(bits)
+    assert hurwitz_zeta(2, x) == float.fromhex(bits)
 
 
 def test_hurwitz_zeta_within_3_ulp_of_mpmath():
@@ -173,8 +172,8 @@ def test_hurwitz_zeta_within_3_ulp_of_mpmath():
 
 
 def test_hurwitz_zeta_is_trigamma_at_s_2_and_rejects_bad_input():
-    for x, _ in _TRIGAMMA_PINNED:
-        assert hurwitz_zeta(2, x) == trigamma(x)
+    for x, bits in _TRIGAMMA_PINNED:
+        assert hurwitz_zeta(2, x) == float.fromhex(bits)
     for s, x in ((1, 2.0), (2.5, 2.0), (4, 0.0), (4, -1.5), (4, math.nan)):
         with pytest.raises(ValueError):
             hurwitz_zeta(s, x)
@@ -193,6 +192,29 @@ def test_result_from_log_overflow_guard():
     r = result_from_log(complex(800.0, 1.0))
     assert r.value.real == math.inf
     assert r.log_value == complex(800.0, 1.0)
+
+
+_LOG_DBL_MAX = math.log(np.finfo(float).max)       # 709.78...
+
+
+@pytest.mark.parametrize("log_value, value", [
+    # exp is finite up to log(DBL_MAX) = 709.78: log Z of
+    # test_qnm.py::test_conjectured_product_finite_up_to_log_dbl_max
+    (complex(709.6016737502742, 0.0), cmath.exp(709.6016737502742)),
+    (complex(math.nextafter(_LOG_DBL_MAX, 0.0), 0.5), cmath.exp(
+        complex(math.nextafter(_LOG_DBL_MAX, 0.0), 0.5))),
+    # just past it the value overflows and its phase is dropped
+    (complex(math.nextafter(_LOG_DBL_MAX, 800.0), 0.0), complex(math.inf, 0.0)),
+    # unless the phase keeps both parts finite: |cos 2|, |sin 2| < 0.91
+    (complex(709.79, -2.0), cmath.exp(complex(709.79, -2.0))),
+    # an infinite log keeps no phase either (cmath.exp would give -inf+infj);
+    # conjectured_partition_log(1e308 - 1.7e308j) over the mode 1 returns it
+    (complex(math.inf, math.pi), complex(math.inf, 0.0)),
+], ids=["709.60", "below_log_dbl_max", "past_log_dbl_max", "past_it_with_finite_parts",
+        "infinite_log_with_a_phase"])
+def test_result_from_log_is_finite_up_to_log_dbl_max(log_value, value):
+    r = result_from_log(log_value)
+    assert r.value == value and r.log_value == log_value
 
 
 def test_result_from_log_rejects_nan():

@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import polygamma
 
-from spectral_zeros import product_forms, qnm, scan_cli, spectra, zeta
-from spectral_zeros.core import PoleError, TWO_PI, ZeroHitSignal, lattice_pole_mask
+from spectral_zeros import core, product_forms, qnm, scan_cli, spectra, zeta
+from spectral_zeros.core import PoleError, TWO_PI, ZeroHitSignal, hurwitz_zeta, lattice_pole_mask
 from spectral_zeros.product_forms import (
     DualitySpacing,
     FOUR_PI_SQ,
@@ -28,7 +28,7 @@ from spectral_zeros.spectra import affine, closed_form_affine, closed_form_oscil
 
 def test_corrected_product_matches_closed_form():
     cf = closed_form_oscillator(1.0, 1.0)
-    r = pole_product_oscillator(1.0, 1.0, n_factors=10 ** 5, tail_correction=True)
+    r = pole_product_oscillator(1.0, 1.0, n_factors=10 ** 5)
     assert abs(r.value - cf) < 1e-6 * abs(cf)
 
 
@@ -40,6 +40,13 @@ def test_naive_variant_disagrees_but_corrected_agrees():
     good = pole_product_oscillator(1.0, 1.0, n_factors=10 ** 5)
     assert abs(naive.value - cf) / abs(cf) > 0.10
     assert abs(good.value - cf) / abs(cf) < 1e-6
+
+
+def test_naive_variant_names_the_pole():
+    beta = complex(0.0, 1.5 * math.pi)          # beta E0 = 2 pi i * 3 at E0 = 4
+    with pytest.raises(PoleError) as exc:
+        pole_product_oscillator_naive(beta, 4.0)
+    assert exc.value.nearest == 3 and exc.value.location == beta
 
 
 def test_small_beta_leading_order_is_inverse():
@@ -231,11 +238,17 @@ def test_pairing_cannot_change_the_value(lowers, x):
     assert abs(p - f) < 1e-9 * max(1.0, abs(p))
 
 
+def _untailed(beta_e0, n):
+    """Z of the N-factor product without its tail term exp(-c psi'(N+1)),
+    c = (beta E0/2 pi)^2, by the exact identity log Z_untailed = log Z + c psi'(N+1)."""
+    log_z = pole_product_oscillator(beta_e0, 1.0, n).log_value
+    return cmath.exp(log_z + (beta_e0 / TWO_PI) ** 2 * hurwitz_zeta(2, n + 1))
+
+
 @pytest.mark.parametrize("beta_e0", [0.5, 1.0, 2.0, 5.0])
 def test_truncation_error_decreases_and_tail_beats_it(beta_e0):
     cf = closed_form_oscillator(beta_e0, 1.0)
-    errs = [abs(pole_product_oscillator(beta_e0, 1.0, n, tail_correction=False).value - cf)
-            for n in (10 ** 3, 10 ** 4, 10 ** 5)]
+    errs = [abs(_untailed(beta_e0, n) - cf) for n in (10 ** 3, 10 ** 4, 10 ** 5)]
     assert errs[0] > errs[1] > errs[2]
     tail_on = abs(pole_product_oscillator(beta_e0, 1.0, 10 ** 3).value - cf)
     assert tail_on < errs[2]
@@ -295,13 +308,21 @@ def _names(code: types.CodeType) -> set[str]:
 
 
 def _functions(module, prefixes=("",)):
-    return {name: fn for name, fn in inspect.getmembers(module, inspect.isfunction)
-            if fn.__module__ == module.__name__ and name.startswith(prefixes)}
+    """The module's own functions named with one of the prefixes, each
+    unwrapped from its functools decorator (an lru_cache wrapper is not a
+    function to inspect.isfunction)."""
+    members = {name: inspect.unwrap(obj) for name, obj in vars(module).items()}
+    return {name: fn for name, fn in members.items() if inspect.isfunction(fn)
+            and fn.__module__ == module.__name__ and name.startswith(prefixes)}
 
 
+# the zeros side keeps the Hurwitz power sums, the spectrum side the
+# Euler-Maclaurin continuation of the level sum; the two share only data
 _ZEROS_SIDE = {**_functions(product_forms), **_functions(zeta, ("hadamard_product",)),
-               **_functions(qnm, ("conjectured_partition_log",))}
-_SPECTRUM_SIDE = {**_functions(spectra, ("closed_form_", "partition_direct", "energy_level"))}
+               **_functions(qnm, ("conjectured_partition_log",)),
+               **_functions(core, ("hurwitz_zeta",))}
+_SPECTRUM_SIDE = {**_functions(spectra, ("closed_form_", "partition_direct", "energy_level")),
+                  **_functions(zeta, ("zeta_em",))}
 
 
 @pytest.mark.parametrize("side, other", [(_ZEROS_SIDE, _SPECTRUM_SIDE),
@@ -310,6 +331,7 @@ _SPECTRUM_SIDE = {**_functions(spectra, ("closed_form_", "partition_direct", "en
 def test_routes_share_no_evaluation_code(side, other):
     # the duality is only evidence while neither route calls the other's
     # evaluators: no closed form or level sum inside a product, and back
-    assert "pole_product_oscillator" in _ZEROS_SIDE and "closed_form_oscillator" in _SPECTRUM_SIDE
+    assert {"pole_product_oscillator", "_far_series", "hurwitz_zeta"} <= _ZEROS_SIDE.keys()
+    assert {"closed_form_oscillator", "zeta_em", "zeta_em_array"} <= _SPECTRUM_SIDE.keys()
     for name, fn in side.items():
         assert not _names(fn.__code__) & other.keys(), name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_zeros.core import EXP_UNDERFLOW, PoleError, TWO_PI, ZeroHitSignal
+from spectral_zeros.core import EXP_UNDERFLOW, PoleError, TWO_PI, ZeroHitSignal, hurwitz_zeta
 from spectral_zeros.product_forms import pole_product_oscillator
 from spectral_zeros.qnm import (
     InsufficientModesError,
@@ -182,8 +182,10 @@ def test_structural_echo_of_the_oscillator_lattice():
     tower = QNMSpectrum(modes=modes, temperature=T, symmetry="reflection")
     z = 0.9
     lhs = conjectured_partition_log(z, tower).log_value
-    pp = pole_product_oscillator(z, 1.0 / T, n_factors=n_pairs, tail_correction=False)
-    rhs = -(pp.log_value + cmath.log(z / T))
+    # the product without its tail term exp(-c psi'(N+1)), c = (z E0/2 pi)^2
+    pp = pole_product_oscillator(z, 1.0 / T, n_factors=n_pairs).log_value
+    untailed = pp + (z / T / TWO_PI) ** 2 * hurwitz_zeta(2, n_pairs + 1)
+    rhs = -(untailed + cmath.log(z / T))
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -301,6 +303,13 @@ def test_conjectured_past_the_float_range_matches_mpmath(z):
     _assert_log_matches(conjectured_partition_log(z, _MIRRORED).log_value, want, z, on_cut)
     log_z, _, _ = conjectured_partition_log_array(np.array([z]), _MIRRORED)
     assert np.isfinite(log_z).all() and log_z.real[0] >= EXP_UNDERFLOW
+
+
+def test_conjectured_product_finite_up_to_log_dbl_max():
+    # log Z = log(1.5e308) = 709.60 < log(DBL_MAX) = 709.78: Z is a finite double
+    r = conjectured_partition_log(-1.5e308, QNMSpectrum(modes=(1.0,), temperature=1.0))
+    assert r.log_value == complex(709.6016737502742, 0.0)
+    assert r.value == pytest.approx(1.5000000000000140e+308, rel=1e-15)
 
 
 @pytest.mark.parametrize("reflection", [True, False], ids=["paired", "unpaired"])

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from spectral_zeros import scan_cli
+from spectral_zeros import scan_cli, zeta
 from spectral_zeros.core import (
     EXP_UNDERFLOW,
     TWO_PI,
@@ -746,11 +746,40 @@ def test_pgm_is_valid_p5(tmp_path):
     assert pixels.max() == 255 and pixels.min() == 0  # p5/p95 clamp both sides
 
 
+def test_pgm_of_a_constant_field_is_black(tmp_path):
+    # the p5/p95 window is empty: no division by hi - lo = 0
+    n = 6 * 4
+    scan = GridScan((0.0, 1.0, 0.0, 1.0), (6, 4), np.full(n, 2.5), np.zeros(n),
+                    np.full(n, "", dtype="<U4"))
+    p = tmp_path / "flat.pgm"
+    write_pgm(scan, p)
+    header = b"P5\n6 4\n255\n"
+    assert p.read_bytes() == header + bytes(n)
+
+
 def test_cli_oscillator_table(capsys):
     assert cli_dispatch(["oscillator", "--beta", "1", "--e0", "1"]) == 0
     outp = capsys.readouterr().out
     for name in ("direct_sum", "closed_form", "pole_product"):
         assert name in outp
+
+
+def test_cli_json_table_reads_back(tmp_path):
+    out = tmp_path / "t.json"
+    assert cli_dispatch(["oscillator", "--beta", "1", "--e0", "1", "--out", str(out),
+                         "--format", "json"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["columns"] == ["method", "value", "abs_diff_vs_closed", "error_estimate"]
+    assert [row[0] for row in doc["rows"]] == ["direct_sum", "closed_form", "pole_product"]
+    # fields are written with repr, so the values round-trip
+    assert complex(doc["rows"][1][1]) == closed_form_oscillator(1.0, 1.0)
+    assert complex(doc["rows"][2][1]) == pole_product_oscillator(1.0, 1.0, 100000).value
+
+
+def test_cli_zeros_to_stdout(capsys):
+    assert cli_dispatch(["zeta", "zeros", "--count", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out == "".join(repr(g) + "\n" for g in find_zeros(3).ordinates)
 
 
 def test_cli_zeros_file_roundtrip(tmp_path):
@@ -1025,6 +1054,16 @@ def test_cli_numerical_failure_exits_2(monkeypatch, capsys):
     def failing_find_zeros(*args, **kwargs):
         raise ArithmeticError("located ordinate fails verification")
     monkeypatch.setattr(scan_cli, "find_zeros", failing_find_zeros)
+    assert cli_dispatch(["zeta", "zeros", "--count", "3"]) == 2
+    assert "fails verification" in capsys.readouterr().err
+
+
+def test_cli_zeros_failing_verification_exits_2(monkeypatch, capsys):
+    # find_zeros itself raises: |zeta| at every located ordinate is >= 1e-6
+    critical_line = zeta.zeta_critical_line
+    monkeypatch.setattr(zeta, "zeta_critical_line", lambda t: critical_line(t) + 1e-6)
+    with pytest.raises(ArithmeticError, match="fails verification"):
+        find_zeros(3)
     assert cli_dispatch(["zeta", "zeros", "--count", "3"]) == 2
     assert "fails verification" in capsys.readouterr().err
 

@@ -71,10 +71,6 @@ def test_zeta_em_pole_at_one():
 def test_zeta_em_parameter_validation():
     with pytest.raises(ValueError):
         zeta_em(2.0, cutoff=5)
-    with pytest.raises(ValueError):
-        zeta_em(2.0, correction_order=0)
-    with pytest.raises(ValueError):
-        zeta_em(2.0, correction_order=9)
 
 
 def test_zeta_em_warns_outside_validated_window():
@@ -93,9 +89,9 @@ def test_zeta_em_far_right_is_one_with_a_finite_estimate(s):
 
 
 def test_zeta_em_internal_consistency_high_on_the_line():
-    # same point, very different truncation/correction choices
-    a = zeta_em(complex(0.5, 50.0), cutoff=150, correction_order=6).value
-    b = zeta_em(complex(0.5, 50.0), cutoff=400, correction_order=8).value
+    # same point, very different truncations
+    a = zeta_em(complex(0.5, 50.0), cutoff=150).value
+    b = zeta_em(complex(0.5, 50.0), cutoff=400).value
     assert abs(a - b) < 1e-10 * max(1.0, abs(b))
 
 
@@ -105,7 +101,7 @@ def test_zeta_em_reflection_formula(s):
     # a small cutoff sidesteps the cancellation in the partial sum (the
     # sub-50 cutoff is outside the advertised window, hence the warning)
     with pytest.warns(AccuracyWarning):
-        lhs = zeta_em(s, cutoff=24, correction_order=8).value
+        lhs = zeta_em(s, cutoff=24).value
     rhs = (2.0 ** s * math.pi ** (s - 1.0) * math.sin(math.pi * s / 2.0)
            * cmath.exp(log_gamma(1.0 - s)) * zeta_em(1.0 - s).value)
     assert abs(lhs - rhs) < 1e-8 * abs(rhs)
