@@ -104,12 +104,14 @@ class AccuracyWarning(UserWarning):
     """Requested point lies outside the validated accuracy window."""
 
 
-def lattice_pole_mask(x_re: np.ndarray, x_im: np.ndarray) -> np.ndarray:
-    """True where x is within 1e-12 of a pole 2 pi i k, k = rint(Im x / 2 pi):
-    the domain check of every closed form or product with poles on 2 pi i Z
-    (np.rint rounds as round, so a scalar's k is round(Im x / 2 pi))."""
-    k = np.rint(x_im / TWO_PI)
-    return np.hypot(x_re, x_im - TWO_PI * k) < 1e-12
+def lattice_pole_mask(x_re, sin_half):
+    """True where x is within 1e-12 of a pole 2 pi i k, given Re x and
+    sin(Im x / 2): the domain check of every closed form or product with
+    poles on 2 pi i Z.  hypot(Re x, 2 sin(Im x / 2)) is the distance to the
+    nearest pole to first order, and sin reduces Im x exactly, so the test
+    holds at every magnitude; at a flagged node a scalar names the pole
+    k = round(Im x / 2 pi)."""
+    return np.hypot(x_re, 2.0 * sin_half) < 1e-12
 
 
 def node_chunks(n_nodes: int, width: int) -> list[slice]:

@@ -58,7 +58,7 @@ def duality_spacing(spec: Spectrum) -> DualitySpacing:
     The product is constructed as the identity delta_E * (2 pi i / delta_E)
     = 2 pi i rather than multiplied out, so it is exact for every gap.
     """
-    if spec.kind not in ("oscillator", "affine"):
+    if spec.kind != "affine":
         raise ValueError(
             f"duality spacing needs an equally spaced spectrum, got kind={spec.kind!r}")
     return DualitySpacing(delta_e=spec.gap, delta_beta=complex(0.0, TWO_PI / spec.gap),
@@ -189,7 +189,7 @@ def pole_product_oscillator_array(beta: np.ndarray, e0: float, n_factors: int = 
         log_err = np.logaddexp(2.0 * log_c - math.log(6.0 * float(n_factors) ** 3),
                                log_remainder[row] + (_SERIES_TERMS + 1) * log_c)
         error = scaled_error(log_z.real, log_err)
-    log_z[lattice_pole_mask(x_re, x_im)] = np.inf
+    log_z[lattice_pole_mask(x_re, np.sin(0.5 * x_im))] = np.inf
     return log_z, error, np.full(beta.shape, n_factors)
 
 
@@ -206,7 +206,7 @@ def pole_product_oscillator_naive(beta: complex, e0: float,
     if not e0 > 0:
         raise ValueError(f"oscillator quantum must be positive, got {e0}")
     x = complex(beta) * e0
-    if lattice_pole_mask(x.real, x.imag):
+    if lattice_pole_mask(x.real, math.sin(0.5 * x.imag)):
         k = round(x.imag / TWO_PI)
         raise PoleError(f"pole at beta*E0 = 2*pi*i*{k}",
                         location=complex(beta), nearest=k)

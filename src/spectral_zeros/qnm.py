@@ -49,6 +49,9 @@ from .core import (
 )
 
 
+_LOG_FOUR = math.log(4.0)
+
+
 class InsufficientModesError(NumericalDomainError):
     """Too few modes for the requested analysis."""
 
@@ -218,11 +221,15 @@ def conjectured_partition_log(z: complex, spec: QNMSpectrum) -> EvaluationResult
     return result_from_log(log_z[0], err[0], terms[0])
 
 
-def _split_factors(diff: np.ndarray, inv: np.ndarray):
-    """log|diff * inv| and (diff * inv) / |diff * inv|, neither taken from
-    the product, which may lie past the float range."""
+def _split_factors(modes: np.ndarray, nodes: np.ndarray, inv: np.ndarray):
+    """log|(z* - z) inv| and its phase, neither taken from the product,
+    which may lie past the float range.  The difference is formed from
+    quarters, exactly, and log 4 added back: |z* - z| itself may pass
+    DBL_MAX, a quarter of it cannot."""
+    diff = 0.25 * modes - 0.25 * nodes
     diff_abs, inv_abs = np.abs(diff), np.abs(inv)
-    return np.log(diff_abs) + np.log(inv_abs), (diff / diff_abs) * (inv / inv_abs)
+    return (np.log(diff_abs) + (np.log(inv_abs) + _LOG_FOUR),
+            (diff / diff_abs) * (inv / inv_abs))
 
 
 def conjectured_partition_log_array(z: np.ndarray, spec: QNMSpectrum):
@@ -256,8 +263,8 @@ def conjectured_partition_log_array(z: np.ndarray, spec: QNMSpectrum):
         # as the log of each part's modulus and the product of their phases
         over = np.flatnonzero(~(log_z.real < np.inf))
         if over.size:
-            log_abs, phase = _split_factors(lead - z[over, None], lead_inv)
-            mate_log_abs, mate_phase = _split_factors(mate - z[over, None], mate_inv)
+            log_abs, phase = _split_factors(lead, z[over, None], lead_inv)
+            mate_log_abs, mate_phase = _split_factors(mate, z[over, None], mate_inv)
             log_abs[:, :mate.size] += mate_log_abs
             phase[:, :mate.size] *= mate_phase
             log_z.real[over] = log_abs.sum(axis=1)

@@ -389,9 +389,8 @@ def _emit_scan(scan: GridScan, args) -> None:
     if args.format == "csv":
         write_csv(scan, args.out)
     elif args.format == "json":
-        meta = None if args.no_meta else {"evaluator": args.evaluator,
-                                         "generator": f"spectral-zeros {__version__}"}
-        write_json(scan, args.out, meta=meta)
+        write_json(scan, args.out, meta={"evaluator": args.evaluator,
+                                         "generator": f"spectral-zeros {__version__}"})
     else:
         write_pgm(scan, args.out)
 
@@ -465,7 +464,7 @@ def _cmd_qnm_fit(args) -> int:
 
 def _cmd_scan(args) -> int:
     params = {k: v for k in ("e0", "n_factors", "cutoff", "zero_count", "zeros", "spectrum")
-              if (v := getattr(args, k, None)) is not None}
+              if (v := getattr(args, k)) is not None}
     scan = grid_scan(args.evaluator, tuple(args.region), (args.cols, args.rows),
                      params=params)
     _emit_scan(scan, args)
@@ -475,17 +474,6 @@ def _cmd_scan(args) -> int:
 def _table_out_args(p) -> None:
     p.add_argument("--out", default=None, help="write the table instead of printing")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-
-def _grid_args(p) -> None:
-    p.add_argument("--region", type=float, nargs=4, required=True,
-                   metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
-    p.add_argument("--cols", type=int, default=64)
-    p.add_argument("--rows", type=int, default=64)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json", "pgm"], default="csv")
-    p.add_argument("--no-meta", action="store_true",
-                   help="omit the metadata block from JSON output")
 
 
 def _zeros_args(p) -> None:
@@ -557,11 +545,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _table_out_args(qo)
     qo.set_defaults(func=_cmd_qnm_oneloop)
 
-    qs = qsub.add_parser("scan", help="grid scan of the conjectured partition")
-    qs.add_argument("--spectrum", required=True)
-    _grid_args(qs)
-    qs.set_defaults(func=_cmd_scan, evaluator="qnm_conjectured")
-
     qf = qsub.add_parser("fit", help="asymptotic spacing fit of the mode tail")
     qf.add_argument("--spectrum", required=True)
     qf.add_argument("--tail-fraction", type=float, default=1.0)
@@ -570,7 +553,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("scan", help="grid scan of a named evaluator")
     sc.add_argument("--evaluator", required=True, choices=list(_EVALUATORS))
-    _grid_args(sc)
+    sc.add_argument("--region", type=float, nargs=4, required=True,
+                    metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
+    sc.add_argument("--cols", type=int, default=64)
+    sc.add_argument("--rows", type=int, default=64)
+    sc.add_argument("--out", default=None)
+    sc.add_argument("--format", choices=["csv", "json", "pgm"], default="csv")
     sc.add_argument("--e0", type=float, default=None)
     sc.add_argument("--n-factors", type=int, default=None)
     sc.add_argument("--cutoff", type=int, default=None)
@@ -579,10 +567,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(func=_cmd_scan)
 
     return p
-
-
-# float flags that must be finite, checked before any work like --region
-_FINITE_FLAGS = ("beta", "beta_im", "e0", "re", "im", "x", "delta")
 
 
 def cli_dispatch(argv: Sequence[str]) -> int:
@@ -594,9 +578,9 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        for name in _FINITE_FLAGS:
-            value = getattr(args, name, None)
-            if value is not None and not math.isfinite(value):
+        # every float flag must be finite, checked before any work like --region
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:

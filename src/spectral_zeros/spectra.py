@@ -1,12 +1,11 @@
 """Energy spectra and direct Boltzmann summation.
 
-A Spectrum is one of four level sequences:
+A Spectrum is one of the two level sequences with a zeros route:
 
-* oscillator(E0):  E_n = (n + 1/2) E0, n >= 0
+* affine(a, g):    E_n = a + n g, n >= 0, taken as (n + a/g) g; the
+                    oscillator(E0) is affine(E0/2, E0), E_n = (n + 1/2) E0
 * primon:          E_n = ln n, n >= 1 (so the partition sum is literally
                     the truncated Dirichlet series for zeta)
-* affine(a, g):    E_n = a + n g, n >= 0
-* explicit:        a finite ascending list
 
 partition_direct sums exp(-beta E_n) term by term; this is the
 "energy-level side" of the spectrum/zeros duality and is deliberately
@@ -25,7 +24,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .core import (
 # log of the smallest normal double: the closed forms flush to 0 below it
 _LOG_TINY = math.log(sys.float_info.min)
 
-_DEFAULT_TERMS = {"oscillator": 1000, "affine": 1000, "primon": 100_000}
+_DEFAULT_TERMS = {"affine": 1000, "primon": 100_000}
 
 
 @dataclass(frozen=True)
@@ -52,13 +51,12 @@ class Spectrum:
     kind: str
     offset: float = 0.0
     gap: float = 0.0
-    levels: tuple[float, ...] = ()
 
 
 def oscillator(e0: float) -> Spectrum:
     if not e0 > 0:
         raise ValueError(f"oscillator quantum must be positive, got {e0}")
-    return Spectrum(kind="oscillator", offset=0.5 * float(e0), gap=float(e0))
+    return affine(0.5 * e0, e0)
 
 
 def primon() -> Spectrum:
@@ -71,80 +69,51 @@ def affine(offset: float, gap: float) -> Spectrum:
     return Spectrum(kind="affine", offset=float(offset), gap=float(gap))
 
 
-def explicit(levels: Sequence[float]) -> Spectrum:
-    lv = tuple(float(x) for x in levels)
-    if not lv:
-        raise ValueError("explicit spectrum needs at least one level")
-    for i, x in enumerate(lv):
-        if not math.isfinite(x):
-            raise ValueError(f"level {i} is not finite: {x}")
-        if i and not x > lv[i - 1]:
-            raise ValueError(f"levels must be strictly ascending, violated at index {i}")
-    return Spectrum(kind="explicit", levels=lv)
-
-
 def energy_level(spec: Spectrum, n: int) -> float:
-    """E_n for the given spectrum; primon indexes from n=1, the rest from 0."""
+    """E_n for the given spectrum; primon indexes from n=1, affine from 0."""
     if spec.kind == "primon":
         if n < 1:
             raise IndexError(f"primon levels start at n=1, got n={n}")
         return math.log(n)
     if n < 0:
         raise IndexError(f"level index must be >= 0, got n={n}")
-    if spec.kind == "oscillator":
-        return (n + 0.5) * spec.gap  # fused form keeps (n + 1/2) E0 exact
-    if spec.kind == "affine":
-        return spec.offset + n * spec.gap
-    if spec.kind == "explicit":
-        if n >= len(spec.levels):
-            raise IndexError(f"explicit spectrum has {len(spec.levels)} levels, got n={n}")
-        return spec.levels[n]
-    raise ValueError(f"unknown spectrum kind {spec.kind!r}")
+    return _affine_levels(spec, n)
+
+
+def _affine_levels(spec: Spectrum, n):
+    """(n + a/g) g for an int or an array n: for the oscillator a/g is
+    exactly 1/2, so its levels (n + 1/2) E0 take one rounding."""
+    return (n + spec.offset / spec.gap) * spec.gap
 
 
 def _require_convergent(spec: Spectrum, beta: complex) -> None:
-    if spec.kind in ("oscillator", "affine"):
+    if spec.kind == "affine":
         # Re(beta)*gap first: a negative one would overflow exp
         if not (beta.real * spec.gap > 0 and math.exp(-beta.real * spec.gap) < 1):
             raise DivergenceDomainError(
                 "Boltzmann sum needs Re(beta)*gap > 0 and e^(-Re(beta)*gap) < 1 in floats, "
                 f"got Re(beta)*gap = {beta.real * spec.gap}", abscissa=0.0)
-    elif spec.kind == "primon":
-        if not beta.real > 1:
-            raise DivergenceDomainError(
-                "primon sum is the Dirichlet series for zeta; its abscissa of "
-                f"convergence is 1 and Re(beta) = {beta.real} <= 1", abscissa=1.0)
+    elif not beta.real > 1:
+        raise DivergenceDomainError(
+            "primon sum is the Dirichlet series for zeta; its abscissa of "
+            f"convergence is 1 and Re(beta) = {beta.real} <= 1", abscissa=1.0)
 
 
 def partition_direct(spec: Spectrum, beta: complex, n_terms: int | None = None,
                      tail: Literal["none", "geometric"] = "none") -> EvaluationResult:
     """Truncated Boltzmann sum sum_{n < n_terms} exp(-beta E_n).
 
-    tail="geometric" adds the exact geometric remainder for the
-    oscillator/affine kinds (no-op for the others, whose tails are not
-    geometric).  error_estimate bounds the omitted tail; with the
-    geometric tail added it covers truncation only and is 0.
+    tail="geometric" adds the exact geometric remainder for the affine
+    kind (no-op for the primon, whose tail is not geometric).
+    error_estimate bounds the omitted tail; with the geometric tail added
+    it covers truncation only and is 0.
     """
     beta = complex(beta)
     if n_terms is None:
-        n_terms = _DEFAULT_TERMS.get(spec.kind, 0) or len(spec.levels)
+        n_terms = _DEFAULT_TERMS[spec.kind]
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     _require_convergent(spec, beta)
-
-    if spec.kind in ("oscillator", "affine"):
-        n = np.arange(n_terms)
-        if spec.kind == "oscillator":
-            energies = (n + 0.5) * spec.gap
-        else:
-            energies = spec.offset + n * spec.gap
-        total = complex(np.sum(np.exp(-beta * energies)))
-        r = cmath.exp(-beta * spec.gap)           # |r| < 1 here
-        head = cmath.exp(-beta * spec.offset) * r ** n_terms
-        if tail == "geometric":
-            return result_from_value(total + head / (1.0 - r), 0.0, n_terms)
-        err = abs(head) / (1.0 - abs(r))
-        return result_from_value(total, err, n_terms)
 
     if spec.kind == "primon":
         # sum_{n=1}^{N} n^(-beta), in chunks to keep memory flat at large N
@@ -156,14 +125,14 @@ def partition_direct(spec: Spectrum, beta: complex, n_terms: int | None = None,
         err = n_terms ** (1.0 - beta.real) / (beta.real - 1.0)
         return result_from_value(total, err, n_terms)
 
-    if spec.kind == "explicit":
-        used = min(n_terms, len(spec.levels))
-        lv = np.asarray(spec.levels)
-        total = complex(np.sum(np.exp(-beta * lv[:used])))
-        err = float(np.sum(np.exp(-beta.real * lv[used:])))
-        return result_from_value(total, err, used)
-
-    raise ValueError(f"unknown spectrum kind {spec.kind!r}")
+    energies = _affine_levels(spec, np.arange(n_terms))
+    total = complex(np.sum(np.exp(-beta * energies)))
+    r = cmath.exp(-beta * spec.gap)           # |r| < 1 here
+    head = cmath.exp(-beta * spec.offset) * r ** n_terms
+    if tail == "geometric":
+        return result_from_value(total + head / (1.0 - r), 0.0, n_terms)
+    err = abs(head) / (1.0 - abs(r))
+    return result_from_value(total, err, n_terms)
 
 
 def closed_form_oscillator(beta: complex, e0: float) -> complex:
@@ -200,10 +169,11 @@ def closed_form_affine(beta: complex, offset: float, gap: float) -> complex:
 def _one_minus_exp(a, b):
     """(Re, Im) of 1 - e^{-y} for y = a + ib with a >= 0, as
     -expm1(-a) + 2 e^{-a} sin^2(b/2) + i e^{-a} sin(b): the real part adds
-    two non-negative terms, so nothing cancels or overflows."""
+    two non-negative terms, so nothing cancels or overflows.  sin(b/2)
+    comes third, for the pole test."""
     decay = np.exp(-a)
     s = np.sin(0.5 * b)
-    return 2.0 * decay * s * s - np.expm1(-a), decay * np.sin(b)
+    return 2.0 * decay * s * s - np.expm1(-a), decay * np.sin(b), s
 
 
 def _split(v):
@@ -246,11 +216,11 @@ def closed_form_affine_array(beta: np.ndarray, offset: float, gap: float) -> np.
             p_err = ((b_hi * d_hi - p) + b_hi * d_lo + b_lo * d_hi) + b_lo * d_lo
             exp_re = np.where(flip, p + np.nan_to_num(p_err + b_re * d_err), -(b_re * offset))
             exp_im = np.where(flip, b_im * d + b_im * d_err, -(b_im * offset))
-            den_re, den_im = _one_minus_exp(np.abs(x_re), np.where(flip, -x_im, x_im))
+            den_re, den_im, sin_half = _one_minus_exp(np.abs(x_re), np.where(flip, -x_im, x_im))
             log_z.real[sl] = log_abs = exp_re - np.log(np.hypot(den_re, den_im))
             log_z.real[sl][log_abs < _LOG_TINY] = -np.inf
             # arctan2 reduces the exponent's phase exactly; pi is the sign of -1
             log_z.imag[sl] = (np.arctan2(np.sin(exp_im), np.cos(exp_im))
                               - np.arctan2(den_im, den_re) + np.where(flip, math.pi, 0.0))
-            log_z[sl][lattice_pole_mask(x_re, x_im)] = np.inf
+            log_z[sl][lattice_pole_mask(x_re, sin_half)] = np.inf
     return log_z

@@ -21,7 +21,14 @@ from spectral_zeros.product_forms import (
     pole_product_oscillator_array,
     pole_product_oscillator_naive,
 )
-from spectral_zeros.spectra import affine, closed_form_affine, closed_form_oscillator, oscillator, primon
+from spectral_zeros.spectra import (
+    affine,
+    closed_form_affine,
+    closed_form_affine_array,
+    closed_form_oscillator,
+    oscillator,
+    primon,
+)
 
 
 # ------------------------------------------------------------- pole product
@@ -82,7 +89,7 @@ def _assert_matches_complex_log_sum(beta):
 @given(st.floats(-6.0, 6.0), st.floats(-20.0, 20.0))
 def test_factor_logs_match_the_complex_log_sum(re, im):
     beta = complex(re, im)
-    assume(not lattice_pole_mask(beta.real, beta.imag))
+    assume(not lattice_pole_mask(beta.real, math.sin(0.5 * beta.imag)))
     _assert_matches_complex_log_sum(beta)
 
 
@@ -91,7 +98,7 @@ def test_factor_logs_match_the_complex_log_sum(re, im):
 def test_factor_logs_near_the_poles(k, log10_eps, phase):
     # 1 + c/n^2 -> 0 for n = |k|: log|1 + w| must not cancel there
     beta = complex(0.0, TWO_PI * k) + 10.0 ** log10_eps * cmath.exp(1j * phase)
-    assume(not lattice_pole_mask(beta.real, beta.imag))
+    assume(not lattice_pole_mask(beta.real, math.sin(0.5 * beta.imag)))
     _assert_matches_complex_log_sum(beta)
 
 
@@ -282,6 +289,34 @@ def test_duality_spacing_ignores_offset():
 def test_duality_spacing_rejects_unequal_spectra():
     with pytest.raises(ValueError):
         duality_spacing(primon())
+
+
+def test_lattice_poles_flagged_by_every_route_up_to_k_100():
+    # beta = i k at E0 = 2 pi: x = fl(k fl(2 pi)) lies within ~1e-14 of
+    # 2 pi i k, so the sine test keeps every such node a pole
+    beta = 1j * np.arange(-100.0, 101.0)
+    assert (closed_form_affine_array(beta, math.pi, TWO_PI) == np.inf).all()
+    assert (pole_product_oscillator_array(beta, TWO_PI, 8)[0] == np.inf).all()
+    for k in (-100, -1, 0, 1, 37, 100):
+        for route in (closed_form_oscillator, pole_product_oscillator,
+                      pole_product_oscillator_naive):
+            with pytest.raises(PoleError) as exc:
+                route(complex(0.0, k), TWO_PI)
+            assert exc.value.nearest == k
+
+
+def test_no_pole_flag_off_the_lattice_at_any_magnitude():
+    # fl(2 pi rint(Im x / 2 pi)) equals Im x once the float spacing passes
+    # 2 pi, so a test on it would flag beta = 1e17 i; beta = 1e5 i at
+    # E0 = fl(2 pi) is 3.4e-11 off the pole, where Z is large but finite
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for beta, e0 in ((1e17j, 1.0), (1e5j, TWO_PI), (complex(0.0, 2.0 ** 60), 1.0)):
+        want = 1 / (2 * mpmath.sinh(mpmath.mpc(beta * e0) / 2))
+        got = closed_form_oscillator(beta, e0)
+        assert abs(mpmath.mpc(got) - want) <= 1e-12 * abs(want), (beta, got, want)
+        pole_product_oscillator(beta, e0, 8)
+        pole_product_oscillator_naive(beta, e0, 8)
 
 
 def test_pole_flags_do_not_depend_on_offset():

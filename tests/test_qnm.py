@@ -312,6 +312,16 @@ def test_conjectured_product_finite_up_to_log_dbl_max():
     assert r.value == pytest.approx(1.5000000000000140e+308, rel=1e-15)
 
 
+@pytest.mark.parametrize("z, mode", [(1e308 - 1.7e308j, 1.0), (-1.7e308 - 1.7e308j, 1.5e308)],
+                         ids=["difference_past_dbl_max", "half_difference_past_dbl_max"])
+def test_conjectured_finite_where_the_mode_difference_passes_dbl_max(z, mode):
+    # |z* - z| passes DBL_MAX, and in the second row so does half of it,
+    # while log Z is finite
+    spec = QNMSpectrum(modes=(mode,), temperature=1.0)
+    want, on_cut = _mp_conjectured(z, spec)
+    _assert_log_matches(conjectured_partition_log(z, spec).log_value, want, z, on_cut)
+
+
 @pytest.mark.parametrize("reflection", [True, False], ids=["paired", "unpaired"])
 def test_conjectured_mode_hits_name_the_mode(reflection):
     spec = _MIRRORED if reflection else dataclasses.replace(_MIRRORED, symmetry="none")

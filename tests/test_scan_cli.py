@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import csv
 import io
@@ -417,6 +418,7 @@ def _mp_pole_product(z, e0, n_factors):
 @example(grid=((-0.5, 0.5, -2.0, 2.0), (5, 9)), e0=TWO_PI)           # lattice i k, k = -2..2
 @example(grid=((1400.0, 1440.0, -1.0, 1.0), (6, 3)), e0=1.0)         # value underflows to 0
 @example(grid=((-1440.0, -1400.0, 1e6, 1e6 + 8.0), (6, 3)), e0=1.0)
+@example(grid=((0.0, 1.0, 1e17, 1e18), (2, 5)), e0=1.0)             # Im spacing > 2 pi: no pole
 def test_closed_form_scan_matches_scalar(grid, e0):
     _assert_scan_matches_oracle("oscillator_closed", *grid, {"e0": e0},
                                 lambda z: _mp_closed_form(z, e0),
@@ -557,6 +559,8 @@ _HEAVY = QNMSpectrum(modes=(0.5 - 1j, -0.5 - 1j), temperature=1.0, euclidean_act
 @example(case=(_UNPAIRED, ((2.0 ** 400, 2.0 ** 401, -1.0, 1.0), (3, 3))))  # log|Z| > 745
 @example(case=(_HEAVY, ((-1.0, 1.0, -1.0, 1.0), (3, 3))))          # log|Z| < -745
 @example(case=(_PAIRED, ((2.0 ** 1022, 2.0 ** 1023, -1.0, 1.0), (2, 3))))  # factors > 1e308
+@example(case=(QNMSpectrum(modes=(1.0,), temperature=1.0),                # |z* - z| > 1e308
+               ((1e308, 1.2e308, -1.7e308, -1.5e308), (2, 2))))
 def test_qnm_scan_matches_scalar(case):
     spec, grid = case
     _assert_scan_matches_oracle("qnm_conjectured", *grid, {"spectrum": spec},
@@ -820,8 +824,8 @@ def test_cli_malformed_qnm_file_exits_2(tmp_path, capsys, text):
     f = tmp_path / "bad.json"
     f.write_text(text)
     for argv in (["qnm", "oneloop", "--spectrum", str(f)],
-                 ["qnm", "scan", "--spectrum", str(f), "--region", "-1", "1", "-1", "1",
-                  "--out", str(tmp_path / "s.csv")]):
+                 ["scan", "--evaluator", "qnm_conjectured", "--spectrum", str(f),
+                  "--region", "-1", "1", "-1", "1", "--out", str(tmp_path / "s.csv")]):
         assert cli_dispatch(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {f}: ") and err.count("\n") == 1
@@ -837,10 +841,11 @@ _SPECTRUM = '{"modes": [[1.0, -1.0]], "temperature": 1.0}'
 
 
 @pytest.mark.parametrize("text, argv, message", [
-    (_NAN_MODE, ["qnm", "scan", "--spectrum", "FILE", *_GRID], "FILE"),
+    (_NAN_MODE, ["scan", "--evaluator", "qnm_conjectured", "--spectrum", "FILE", *_GRID], "FILE"),
     (_NAN_MODE, ["qnm", "fit", "--spectrum", "FILE"], "FILE"),
     (_NAN_MODE, ["qnm", "oneloop", "--spectrum", "FILE"], "FILE"),
-    (_NAN_ACTION, ["qnm", "scan", "--spectrum", "FILE", *_GRID], "FILE"),
+    (_NAN_ACTION, ["scan", "--evaluator", "qnm_conjectured", "--spectrum", "FILE", *_GRID],
+     "FILE"),
     ('{"modes": [[1.0, -1.0]], "temperature": Infinity}', ["qnm", "oneloop", "--spectrum", "FILE"],
      "FILE"),
     ('{"modes": [[1.0, -1.0]], "temperature": 1.0, "pol": [1.0, -Infinity]}',
@@ -900,11 +905,36 @@ _FLOAT_OPTIONS = [
     (["qnm", "fit", "--spectrum", "s.json"], "--tail-fraction", "tail_fraction"),
     (["scan", "--evaluator", "oscillator_closed", "--region", "0", "1", "0", "1"], "--e0", "e0"),
 ]
+_FLOAT_IDS = [" ".join([w for w in c[:2] if w[0] != "-"] + [o]) for c, o, _ in _FLOAT_OPTIONS]
+
+
+def _float_flags(parser, path=()):
+    """(subcommand path, option) of every single-valued float option."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _float_flags(sub, path + (name,))
+        elif action.type is float and action.nargs is None:
+            yield path, action.option_strings[0]
+
+
+def test_float_options_list_every_float_flag():
+    # so no float flag of the parser escapes the finite rule below; the
+    # four-valued --region has its own check, "scan region must be finite"
+    listed = {(tuple(itertools.takewhile(lambda w: w[0] != "-", c)), o)
+              for c, o, _ in _FLOAT_OPTIONS}
+    assert listed == set(_float_flags(scan_cli._build_parser()))
+
+
+@pytest.mark.parametrize("command, option, dest", _FLOAT_OPTIONS, ids=_FLOAT_IDS)
+def test_cli_every_float_flag_must_be_finite(capsys, command, option, dest):
+    # checked before the command runs, so the missing s.json is never read
+    assert cli_dispatch(command + [option, "nan"]) == 2
+    assert capsys.readouterr().err == f"error: {option} must be finite, got nan\n"
 
 
 @pytest.mark.parametrize("value", ["-1e5", "-1e-3", "-1E+300"])
-@pytest.mark.parametrize("command, option, dest", _FLOAT_OPTIONS,
-                         ids=[" ".join([w for w in c[:2] if w[0] != "-"] + [o]) for c, o, _ in _FLOAT_OPTIONS])
+@pytest.mark.parametrize("command, option, dest", _FLOAT_OPTIONS, ids=_FLOAT_IDS)
 def test_cli_reads_negative_exponent_notation(command, option, dest, value):
     # argparse's default pattern reads only -12 and -1.5 forms as negative
     # numbers; it took -1e5 for an option and exited 1
@@ -913,7 +943,8 @@ def test_cli_reads_negative_exponent_notation(command, option, dest, value):
 
 
 @pytest.mark.parametrize("command", [["scan", "--evaluator", "oscillator_closed"],
-                                     ["qnm", "scan", "--spectrum", "s.json"]],
+                                     ["scan", "--evaluator", "qnm_conjectured",
+                                      "--spectrum", "s.json"]],
                          ids=["scan", "qnm_scan"])
 def test_cli_region_reads_negative_exponent_notation(command):
     region = ["-1e5", "-1e-3", "-1E+300", "-1e1"]
@@ -1091,13 +1122,9 @@ def test_cli_qnm_surface(tmp_path, capsys):
     out_csv = tmp_path / "qnm.csv"
     grid = ["--spectrum", str(f), "--region", "-0.5", "0.5", "-4.5", "-0.5",
             "--cols", "16", "--rows", "16"]
-    assert cli_dispatch(["qnm", "scan", *grid, "--out", str(out_csv)]) == 0
-    assert out_csv.read_text().splitlines()[0] == "re,im,log_abs,arg,flag"
-    # qnm scan is a spelling of scan --evaluator qnm_conjectured
-    generic = tmp_path / "generic.csv"
     assert cli_dispatch(["scan", "--evaluator", "qnm_conjectured", *grid,
-                         "--out", str(generic)]) == 0
-    assert generic.read_bytes() == out_csv.read_bytes()
+                         "--out", str(out_csv)]) == 0
+    assert out_csv.read_text().splitlines()[0] == "re,im,log_abs,arg,flag"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1153,7 +1180,6 @@ def test_cli_scan_formats_are_deterministic(tmp_path):
         pairs.append((p1.read_bytes(), p2.read_bytes()))
     for a, b in pairs:
         assert a == b
-    no_meta = tmp_path / "nm.json"
-    assert cli_dispatch(argv + ["--format", "json", "--no-meta",
-                                "--out", str(no_meta)]) == 0
-    assert "meta" not in json.loads(no_meta.read_text())
+    meta = json.loads(pairs[1][0])["meta"]
+    assert meta["evaluator"] == "oscillator_closed"
+    assert meta["generator"].startswith("spectral-zeros ")

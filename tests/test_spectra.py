@@ -11,7 +11,6 @@ from spectral_zeros.spectra import (
     closed_form_affine,
     closed_form_oscillator,
     energy_level,
-    explicit,
     oscillator,
     partition_direct,
     primon,
@@ -37,13 +36,6 @@ def test_primon_rejects_n_zero():
         energy_level(primon(), 0)
     with pytest.raises(IndexError):
         energy_level(primon(), -3)
-
-
-def test_explicit_rejects_descending_levels():
-    with pytest.raises(ValueError):
-        explicit([1.0, 2.0, 2.0])
-    with pytest.raises(ValueError):
-        explicit([1.0, 0.5])
 
 
 @given(st.integers(0, 500), st.floats(0.1, 10.0))
@@ -76,7 +68,6 @@ def test_primon_sum_approaches_zeta_two():
 def test_default_term_counts():
     assert partition_direct(oscillator(1.0), 1.0).terms_used == 1000
     assert partition_direct(primon(), 2.0).terms_used == 100_000
-    assert partition_direct(explicit([0.0, 1.0, 2.0]), 1.0).terms_used == 3
 
 
 @given(st.floats(0.5, 5.0), st.floats(0.2, 4.0))
