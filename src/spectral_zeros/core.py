@@ -15,8 +15,11 @@ scalar is a one-node call.  The kernels share three helpers: node chunks
 bounding every node x factor temporary to CHUNK_ELEMENTS, the pole-lattice
 mask, and the per-node error estimate |Z| * (error of log Z) in log domain.
 
+The spectrum side's power sums read ln n from a table (log_integers) and
+form n^-s from it with numpy's bits (integer_powers).
+
 All functions are pure; the only state is the memo of the Hurwitz zeta's
-series coefficients, built on first use.
+series coefficients and the ln n table, each built on first use.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,3 +284,48 @@ def log_gamma(z: complex) -> complex:
         raise PoleError(f"log_gamma pole at non-positive integer {n}",
                         location=z, nearest=n)
     return complex(loggamma(z))
+
+
+# ln n is served from a table up to here (1 MiB): past every cutoff
+# zeta.find_zeros can use, whose window ends at t = 6e4, and the primon
+# level sum's default 100,000 terms
+LOG_TABLE_MAX = 1 << 17
+_log_table = np.empty(0)
+
+
+def log_integers(start: int, stop: int) -> np.ndarray:
+    """ln n for start <= n < stop (start >= 1), as numpy's complex power
+    n ** s takes it: the real part of the complex log, which is math.log,
+    while float64 np.log is an ulp off at n = 9170, 19143, 94869 and
+    102327 (AVX-512).  While stop - 1 <= LOG_TABLE_MAX it is a read-only
+    view of a table built on first use and grown to the next power of two
+    (at least 1024); past that it is computed per call.  A race between
+    two threads only builds the same table twice: each reads the array it
+    fetched."""
+    global _log_table
+    start, stop = operator.index(start), operator.index(stop)
+    table = _log_table
+    if stop - 1 > table.size:
+        if stop - 1 > LOG_TABLE_MAX:
+            return np.log(np.arange(start, stop, dtype=complex)).real
+        size = min(LOG_TABLE_MAX, max(1024, 1 << (stop - 2).bit_length()))
+        table = np.empty(size)
+        # in chunks, so the complex temporaries stay at 256 KiB
+        for lo in range(0, size, CHUNK_ELEMENTS // 2):
+            hi = min(size, lo + CHUNK_ELEMENTS // 2)
+            table[lo:hi] = np.log(np.arange(lo + 1, hi + 1, dtype=complex)).real
+        table.flags.writeable = False
+        _log_table = table
+    return table[start - 1:stop - 1]
+
+
+def integer_powers(s: complex, start: int, stop: int) -> np.ndarray:
+    """n^-s for start <= n < stop, bit for bit numpy's
+    np.arange(start, stop, dtype=float) ** (-s), without its per-element
+    complex log: exp(-s ln n) with ln n from log_integers, which is what
+    numpy's power computes, except for a real integer s with |s| < 100,
+    where numpy's power multiplies instead, and so this takes it."""
+    s, start, stop = complex(s), operator.index(start), operator.index(stop)
+    if s.imag == 0 and s.real.is_integer() and abs(s.real) < 100:
+        return np.arange(start, stop, dtype=np.float64) ** (-s)
+    return np.exp(-s * log_integers(start, stop))

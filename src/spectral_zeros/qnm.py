@@ -232,6 +232,18 @@ def _split_factors(modes: np.ndarray, nodes: np.ndarray, inv: np.ndarray):
             (diff / diff_abs) * (inv / inv_abs))
 
 
+def _reciprocal(modes: np.ndarray) -> np.ndarray:
+    """1/z* of each mode.  numpy's complex division gives 0 (or a
+    non-finite value) where |z*| nears DBL_MAX, as for 1.5e308 + 1.5e308i,
+    though 1/z* is a finite subnormal: those are taken as (1/(z*/4))/4.
+    Every other reciprocal keeps numpy's bits."""
+    with np.errstate(all="ignore"):
+        inv = 1.0 / modes
+        bad = (inv == 0) | ~np.isfinite(inv)
+        inv[bad] = (1.0 / (0.25 * modes[bad])) * 0.25
+    return inv
+
+
 def conjectured_partition_log_array(z: np.ndarray, spec: QNMSpectrum):
     """The product of conjectured_partition_log on a complex array of
     nodes: (log Z, error_estimate, terms_used) per node.
@@ -244,7 +256,7 @@ def conjectured_partition_log_array(z: np.ndarray, spec: QNMSpectrum):
     mode is a term.
     """
     lead, mate = spec._groups
-    lead_inv, mate_inv = 1.0 / lead, 1.0 / mate
+    lead_inv, mate_inv = _reciprocal(lead), _reciprocal(mate)
     log_z = np.empty(z.shape, dtype=complex)
     with np.errstate(all="ignore"):
         for sl in node_chunks(z.size, lead.size):

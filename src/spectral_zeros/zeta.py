@@ -7,7 +7,8 @@ routes are played against each other in the tests:
    spectrum; convergent half-plane only);
 2. Euler-Maclaurin continuation of the series (zeta_em), the workhorse,
    valid well left of the critical strip;
-3. Euler product over sieved primes (euler_product; Re s > 1);
+3. Euler product over the primes of a cached sieve (euler_product;
+   Re s > 1);
 4. Hadamard product over nontrivial zeros plus gamma-factor and
    prefactor (hadamard_product), taking zero ordinates from find_zeros
    or from a plain-text file.
@@ -23,6 +24,14 @@ Euler-Maclaurin Z, everywhere else.  So each sign, and with it the table,
 is the one hardy_z alone would give.  Euler-Maclaurin also verifies:
 every ordinate must pass |zeta(1/2 + i gamma_k)| < 1e-8 by zeta_em,
 whose adaptive rule cutoff >= 2|Im s| + 50 keeps that honest.
+
+The series routes form n^-s as exp(-s ln n) with ln n read from a table
+(core.integer_powers, core.log_integers: 1 MiB at most, n <= 2^17, built
+on first use), not with one complex log per term as numpy's n ** (-s)
+does; the terms, and so zeta_em, partition_direct and the find_zeros
+table, keep numpy's bits.  euler_product reads primes and ln p from one
+prime table, sieved on first use and grown on demand, which psi_direct
+slices too.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from .core import (
     TWO_PI,
     ZeroHitSignal,
     hurwitz_zeta,
+    integer_powers,
     node_chunks,
     result_from_log,
     result_from_value,
@@ -163,6 +173,10 @@ def zeta_em(s: complex, cutoff: int = 100) -> EvaluationResult:
           + sum_{k=1}^{q} B_{2k}/(2k)! * (s)(s+1)...(s+2k-2) * N^{-s-2k+1}
 
     with q = 6 corrections, their B_2k read from core.EVEN_BERNOULLI.
+    The head terms n^{-s} come from core.integer_powers, bit for bit
+    numpy's n ** (-s): exp(-s ln n) over the cached ln n table (cutoff
+    <= 2^17 + 1; larger cutoffs compute ln n per call), or numpy's own
+    power for a real integer s with |s| < 100, where it multiplies.
     Ten-significant-digit accuracy holds for |Im s| <= (cutoff-50)/2 and
     Re s >= -5; outside that an AccuracyWarning is emitted but the value
     is still returned.  error_estimate is the first omitted correction
@@ -181,8 +195,7 @@ def zeta_em(s: complex, cutoff: int = 100) -> EvaluationResult:
             "(need cutoff >= 2|Im s| + 50 and Re s >= -5)", AccuracyWarning,
             stacklevel=2)
 
-    n = np.arange(1, cutoff, dtype=np.float64)
-    total = complex(np.sum(n ** (-s)))
+    total = complex(np.sum(integer_powers(s, 1, cutoff)))
     total += cutoff ** (1.0 - s) / (s - 1.0)
     total += 0.5 * cutoff ** (-s)
 
@@ -221,30 +234,57 @@ def zeta_em_array(s: np.ndarray, cutoff: int | None = None) -> np.ndarray:
     return log_z
 
 
-def _prime_sieve(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(limit ** 0.5) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+_primes = (0, np.empty(0, dtype=np.int64), np.empty(0))
+
+
+def _prime_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes p <= limit and their ln p (math.log), sliced from one
+    table sieved on first use and, when a limit passes it, sieved again up
+    to the larger of the limit, twice the old bound and 1024.  A race
+    between two threads only sieves twice: each reads the tuple it
+    fetched."""
+    global _primes
+    upto, primes, logs = _primes
+    if limit > upto:
+        upto = max(1024, limit, 2 * upto)
+        mask = np.ones(upto + 1, dtype=bool)
+        mask[:2] = False
+        for p in range(2, math.isqrt(upto) + 1):
+            if mask[p]:
+                mask[p * p:: p] = False
+        primes = np.flatnonzero(mask)
+        logs = np.array([math.log(p) for p in primes.tolist()])
+        _primes = upto, primes, logs
+    k = int(np.searchsorted(primes, limit, side="right"))
+    return primes[:k], logs[:k]
 
 
 def euler_product(s: complex, prime_limit: int) -> EvaluationResult:
-    """prod_{p <= prime_limit} 1/(1 - p^{-s}) over sieved primes, in log domain."""
+    """prod_{p <= prime_limit} 1/(1 - p^{-s}) in log domain, over the
+    cached prime table (_prime_table; no sieve per call).
+
+    w = p^{-s} is exp(-s ln p), numpy's p ** (-s) but for a real integer
+    s, where numpy multiplies.  log(1 - w) is taken from real parts,
+    (1/2) log1p(|w|^2 - 2 Re w) + i arctan2(-Im w, 1 - Re w), with no
+    complex log, so the bits differ from the complex logs' within
+    rounding: against mpmath over the primes below 1e4, at 60 points with
+    1.01 <= Re s <= 4 and |Im s| <= 50, the worst |error of log Z| was
+    1.6e-15, and 4.3e-15 with the complex logs.
+    """
     s = complex(s)
     if not s.real > 1.0:
         raise DivergenceDomainError(
             f"Euler product diverges for Re(s) = {s.real} <= 1", abscissa=1.0)
     if prime_limit < 2:
         raise ValueError(f"prime_limit must be >= 2, got {prime_limit}")
-    p = _prime_sieve(prime_limit).astype(np.float64)
-    log_z = -complex(np.sum(np.log(1.0 - p ** (-s))))
+    _, log_p = _prime_table(prime_limit)
+    w = np.exp(-s * log_p)
+    w_re, w_im = w.real, w.imag
+    log_abs = 0.5 * np.sum(np.log1p(w_re * (w_re - 2.0) + w_im * w_im))
+    log_z = -complex(log_abs, np.sum(np.arctan2(-w_im, 1.0 - w_re)))
     # the omitted factors miss exactly the n with a prime factor > limit
     err = prime_limit ** (1.0 - s.real) / (s.real - 1.0)
-    return result_from_log(log_z, err, len(p))
+    return result_from_log(log_z, err, len(log_p))
 
 
 def _check_zero_count(zeros: ZetaZeroTable, zero_count: int) -> None:
@@ -524,7 +564,8 @@ def ingest_zeros_file(path, verify: bool = False) -> ZetaZeroTable:
 
 
 def psi_direct(x: float) -> float:
-    """Chebyshev psi(x) = sum of von Mangoldt Lambda(n) for n <= x, by sieve.
+    """Chebyshev psi(x) = sum of von Mangoldt Lambda(n) for n <= x, over the
+    cached prime table.
 
     Prime powers are walked in exact integer arithmetic, so boundary
     values like x = 8 pick up ln 2 from 2^3 without float-log slop.
@@ -535,9 +576,8 @@ def psi_direct(x: float) -> float:
     if limit < 2:
         return 0.0
     total = 0.0
-    for p in _prime_sieve(limit):
-        p = int(p)
-        lp = math.log(p)
+    primes, logs = _prime_table(limit)
+    for p, lp in zip(primes.tolist(), logs.tolist()):
         pk = p
         while pk <= limit:
             total += lp
@@ -572,7 +612,7 @@ def explicit_formula_psi(x: float, zeros: ZetaZeroTable,
     total = x - math.log(TWO_PI) - 0.5 * math.log1p(-x ** (-2.0))
     last = 0.0
     if zero_count:
-        g = np.asarray(zeros.ordinates[:zero_count])
+        g = zeros._g[:zero_count]
         rho = 0.5 + 1j * g
         terms = 2.0 * (np.exp(rho * lx) / rho).real
         total -= float(np.sum(terms))

@@ -312,11 +312,14 @@ def test_conjectured_product_finite_up_to_log_dbl_max():
     assert r.value == pytest.approx(1.5000000000000140e+308, rel=1e-15)
 
 
-@pytest.mark.parametrize("z, mode", [(1e308 - 1.7e308j, 1.0), (-1.7e308 - 1.7e308j, 1.5e308)],
-                         ids=["difference_past_dbl_max", "half_difference_past_dbl_max"])
+@pytest.mark.parametrize("z, mode", [(1e308 - 1.7e308j, 1.0), (-1.7e308 - 1.7e308j, 1.5e308),
+                                     (1.0, 1.5e308 + 1.5e308j)],
+                         ids=["difference_past_dbl_max", "half_difference_past_dbl_max",
+                              "reciprocal_subnormal"])
 def test_conjectured_finite_where_the_mode_difference_passes_dbl_max(z, mode):
     # |z* - z| passes DBL_MAX, and in the second row so does half of it,
-    # while log Z is finite
+    # while log Z is finite; in the third 1/z* is subnormal, which numpy's
+    # complex division rounds to 0
     spec = QNMSpectrum(modes=(mode,), temperature=1.0)
     want, on_cut = _mp_conjectured(z, spec)
     _assert_log_matches(conjectured_partition_log(z, spec).log_value, want, z, on_cut)

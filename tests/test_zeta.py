@@ -1,21 +1,24 @@
 import cmath
 import math
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spectral_zeros import zeta
+from spectral_zeros import spectra, zeta
 from spectral_zeros.core import (
     AccuracyWarning,
     DivergenceDomainError,
     NumericalDomainError,
     PoleError,
     ZeroHitSignal,
+    integer_powers,
     log_gamma,
 )
 from spectral_zeros.spectra import partition_direct, primon
@@ -107,6 +110,51 @@ def test_zeta_em_reflection_formula(s):
     assert abs(lhs - rhs) < 1e-8 * abs(rhs)
 
 
+def _numpy_powers(s, start, stop):
+    """The terms n^-s as zeta_em and the primon partition_direct formed
+    them before the ln n table: numpy's power, one complex log per term."""
+    return np.arange(start, stop, dtype=np.float64) ** (-complex(s))
+
+
+# real integer exponents, where numpy's power multiplies, and cutoffs past
+# the n where float64 np.log is an ulp off and past the table
+_INTEGER_S = st.sampled_from([2.0, 3.0, -2.0, 0.0, -5.0, 7.0])
+_PAST_TABLE = st.sampled_from([9171, 9172, 19144, 94870, 102328, 2 ** 17, 2 ** 17 + 1,
+                               2 ** 17 + 2, 140_000])
+
+
+@given(st.one_of(_INTEGER_S, st.builds(complex, st.floats(-6.0, 8.0),
+                                       st.floats(-6e4, 6e4))),
+       st.one_of(st.integers(10, 3000), _PAST_TABLE))
+@example(3.0, 9171).via("a real integer s whose sum numpy's exp misses")
+@example(2.0, 2 ** 17 + 1)
+@example(-2.0, 19144)
+@example(0.0, 102328)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_zeta_em_keeps_the_bits_of_numpys_power(s, cutoff):
+    assume(abs(s - 1.0) >= 1e-12)
+    terms = integer_powers(s, 1, cutoff)
+    oracle = np.arange(1.0, cutoff) ** (-complex(s))
+    assert np.array_equal(terms.view(np.uint64), oracle.view(np.uint64))
+    assert repr(np.sum(terms)) == repr(np.sum(oracle))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        got = zeta_em(s, cutoff)
+        with mock.patch.object(zeta, "integer_powers", _numpy_powers):
+            assert repr(got) == repr(zeta_em(s, cutoff))
+
+
+@given(st.one_of(_INTEGER_S.filter(lambda s: s > 1),
+                 st.builds(complex, st.floats(1.01, 8.0), st.floats(-1e3, 1e3))),
+       st.one_of(st.integers(1, 3000), _PAST_TABLE, st.just(300_000)))
+@example(3.0, 10).via("a real integer beta whose sum numpy's exp misses")
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_primon_partition_keeps_the_bits_of_numpys_power(beta, n_terms):
+    got = partition_direct(primon(), beta, n_terms)
+    with mock.patch.object(spectra, "integer_powers", _numpy_powers):
+        assert repr(got) == repr(partition_direct(primon(), beta, n_terms))
+
+
 def test_euler_gamma_against_harmonic_limit():
     n_cut = 10 ** 8
     total = 0.0
@@ -124,6 +172,29 @@ def test_euler_product_small_limit_exact_rational():
     r = euler_product(2.0, 10)
     assert abs(r.value - float(want)) < 1e-14
     assert r.terms_used == 4
+
+
+def test_euler_product_matches_mpmath_over_the_same_primes():
+    # log Z = -sum log(1 - p^-s) at 30 digits over the 1229 primes below
+    # 1e4, sieved here; the complex logs it replaced came to 4.3e-15
+    mpmath = pytest.importorskip("mpmath")
+    limit = 10 ** 4
+    composite = set()
+    primes = []
+    for n in range(2, limit + 1):
+        if n not in composite:
+            primes.append(n)
+            composite.update(range(n * n, limit + 1, n))
+    rng = np.random.default_rng(2024)
+    points = [complex(re, im) for re, im in zip(rng.uniform(1.01, 4.0, 40),
+                                                rng.uniform(-50.0, 50.0, 40))]
+    with mpmath.workdps(30):
+        for s in points + [1.01, 4.0 + 50j, 2.0]:
+            ms = mpmath.mpc(s.real, s.imag)
+            want = -mpmath.fsum(mpmath.log(1 - mpmath.power(p, -ms)) for p in primes)
+            r = euler_product(s, limit)
+            assert r.terms_used == len(primes)
+            assert abs(r.log_value - complex(want)) <= 1e-14, s
 
 
 def test_euler_product_converges_to_zeta():
