@@ -30,7 +30,9 @@ def route_table(e0: float, factors: int) -> None:
           f"{'pole product':>22}  {'prod rel err':>12}")
     spec = oscillator(e0)
     for beta in (0.25, 0.5, 1.0, 2.0, 5.0):
-        direct = partition_direct(spec, beta, n_terms=200, tail="geometric").value
+        # enough levels that the omitted tail, e^(-50) of Z, is below an ulp
+        terms = max(200, math.ceil(50.0 / (beta * e0)))
+        direct = partition_direct(spec, beta, n_terms=terms).value
         closed = closed_form_oscillator(beta, e0)
         product = pole_product_oscillator(beta, e0, n_factors=factors).value
         rel = abs(product - closed) / abs(closed)

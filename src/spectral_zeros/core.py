@@ -70,17 +70,6 @@ class DivergenceDomainError(NumericalDomainError):
         self.abscissa = abscissa
 
 
-class ZeroFactorSignal(NumericalDomainError):
-    """A product factor is exactly zero; carries the factor index.
-
-    No route raises it any more (a kernel gives such a node log Z = -inf);
-    it stays for callers that catch every signal by name."""
-
-    def __init__(self, index: int, message: str | None = None):
-        super().__init__(message or f"factor at index {index} is exactly zero (log -> -inf)")
-        self.index = index
-
-
 class ZeroHitSignal(NumericalDomainError):
     """The evaluation point coincides with a zero of the function."""
 
@@ -91,17 +80,12 @@ class ZeroHitSignal(NumericalDomainError):
         self.location = location
 
 
-class PoleHitSignal(NumericalDomainError):
-    """The evaluation point coincides with a pole entry of a zero/pole set.
-
-    No route raises it any more (poles raise PoleError); it stays for
-    callers that catch every signal by name."""
-
-    def __init__(self, message: str, *, index: int | None = None,
-                 location: complex | None = None):
-        super().__init__(message)
-        self.index = index
-        self.location = location
+# No route raises a signal of its own for a zero factor (the kernel gives
+# log Z = -inf) or for a pole entry (PoleError), so these two names are
+# aliases, kept only for callers that catch them by name.  The benchmark
+# change of ROADMAP item 1 deletes them together with those catches.
+ZeroFactorSignal = ZeroHitSignal
+PoleHitSignal = PoleError
 
 
 class AccuracyWarning(UserWarning):

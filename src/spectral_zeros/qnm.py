@@ -105,8 +105,8 @@ class QNMSpectrum:
                     continue
                 # the first other mode within the slack becomes the exact mirror
                 j = next((j for j, w in enumerate(locations)
-                          if j != i and abs(w - mirror) <= 1e-12), None)
-                if j is None and abs(z - mirror) <= 1e-12:
+                          if j != i and _near(w, mirror)), None)
+                if j is None and _near(z, mirror):
                     j, mirror = i, complex(0.0, z.imag)
                 if j is None:
                     raise ValueError(f"symmetry=reflection but mode {z} has no "
@@ -122,6 +122,11 @@ class QNMSpectrum:
         lead = [i for i, _ in pairs] + [i for i, j in enumerate(partner) if i == j]
         object.__setattr__(self, "_modes", modes)
         object.__setattr__(self, "_groups", (modes[lead], modes[[j for _, j in pairs]]))
+
+
+def _near(a: complex, b: complex) -> bool:
+    # |a - b| <= 1e-12; hypot gives inf where complex abs raises past DBL_MAX
+    return math.hypot((a - b).real, (a - b).imag) <= 1e-12
 
 
 def qnm_to_json(spec: QNMSpectrum) -> str:
@@ -150,7 +155,7 @@ def load_qnm_file(path) -> QNMSpectrum:
     with open(path) as fh:
         try:
             return qnm_from_json(fh.read())
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"{path}: bad QNM spectrum: {type(e).__name__}: {e}") from None
 
 
@@ -185,18 +190,17 @@ def _pol_value(spec: QNMSpectrum, delta: float) -> float:
 def one_loop_log_partition(spec: QNMSpectrum, delta: float = 0.0) -> complex:
     """Zeta-regularized one-loop log Z_B; see module docstring for the sum.
 
-    Real by construction for real Pol coefficients: -i conj(z*)/2piT is
-    the exact conjugate of i z*/2piT and log_gamma commutes with
-    conjugation.  Raises PoleError naming the offending mode and tower
-    argument if a mode sits on the tower's pole lattice.
+    Real by construction: -i conj(z*)/2piT is the exact conjugate of
+    u = i z*/2piT and log_gamma commutes with conjugation bit for bit, so
+    a mode's two towers are 2 Re tower(u), one log-gamma call.  Raises
+    PoleError naming the mode and tower argument on the pole lattice.
     """
     scale = TWO_PI * spec.temperature
     total = complex(_pol_value(spec, delta))
     for k, z in enumerate(spec.modes):
         u = 1j * z / scale
-        v = -1j * z.conjugate() / scale
         try:
-            towers = gamma_regularized_tower(u) + gamma_regularized_tower(v)
+            towers = 2.0 * gamma_regularized_tower(u).real
         except PoleError as e:
             raise PoleError(
                 f"mode {k} ({z}): tower argument {e.location} is the "

@@ -361,15 +361,10 @@ def _emit_table(columns: Sequence[str], rows: Sequence[Sequence], args) -> None:
     if args.out is None:
         _print_table(columns, rows)
         return
-    if args.format == "csv":
-        # no field holds a comma, a quote or a newline, so none needs quoting
-        with open(args.out, "w", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            fh.writelines(",".join(_fmt(v, precise=True) for v in row) + "\n" for row in rows)
-    else:
-        doc = {"columns": list(columns),
-               "rows": [[_fmt(v, precise=True) for v in row] for row in rows]}
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    # no field holds a comma, a quote or a newline, so none needs quoting
+    with open(args.out, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(_fmt(v, precise=True) for v in row) + "\n" for row in rows)
 
 
 def _emit_scan(scan: GridScan, args) -> None:
@@ -472,8 +467,7 @@ def _cmd_scan(args) -> int:
 
 
 def _table_out_args(p) -> None:
-    p.add_argument("--out", default=None, help="write the table instead of printing")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--out", default=None, help="write the table as CSV instead of printing")
 
 
 def _zeros_args(p) -> None:

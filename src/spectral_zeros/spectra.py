@@ -24,7 +24,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -70,19 +69,8 @@ def affine(offset: float, gap: float) -> Spectrum:
     return Spectrum(kind="affine", offset=float(offset), gap=float(gap))
 
 
-def energy_level(spec: Spectrum, n: int) -> float:
-    """E_n for the given spectrum; primon indexes from n=1, affine from 0."""
-    if spec.kind == "primon":
-        if n < 1:
-            raise IndexError(f"primon levels start at n=1, got n={n}")
-        return math.log(n)
-    if n < 0:
-        raise IndexError(f"level index must be >= 0, got n={n}")
-    return _affine_levels(spec, n)
-
-
 def _affine_levels(spec: Spectrum, n):
-    """(n + a/g) g for an int or an array n: for the oscillator a/g is
+    """(n + a/g) g over an array n: for the oscillator a/g is
     exactly 1/2, so its levels (n + 1/2) E0 take one rounding."""
     return (n + spec.offset / spec.gap) * spec.gap
 
@@ -100,18 +88,14 @@ def _require_convergent(spec: Spectrum, beta: complex) -> None:
             f"convergence is 1 and Re(beta) = {beta.real} <= 1", abscissa=1.0)
 
 
-def partition_direct(spec: Spectrum, beta: complex, n_terms: int | None = None,
-                     tail: Literal["none", "geometric"] = "none") -> EvaluationResult:
+def partition_direct(spec: Spectrum, beta: complex, n_terms: int | None = None) -> EvaluationResult:
     """Truncated Boltzmann sum sum_{n < n_terms} exp(-beta E_n).
 
-    tail="geometric" adds the exact geometric remainder for the affine
-    kind (no-op for the primon, whose tail is not geometric).  The primon
-    terms n^(-beta) come from core.integer_powers, bit for bit numpy's
-    n ** (-beta) without its complex log per term: ln n is read from the
-    cached table while n_terms <= 2^17 (the default 100,000 fits) and
-    computed per call past it.
-    error_estimate bounds the omitted tail; with the geometric tail added
-    it covers truncation only and is 0.
+    The value is the level sum alone; error_estimate bounds the omitted
+    tail.  The primon terms n^(-beta) come from core.integer_powers, bit
+    for bit numpy's n ** (-beta) without its complex log per term: ln n is
+    read from the cached table while n_terms <= 2^17 (the default 100,000
+    fits) and computed per call past it.
     """
     beta = complex(beta)
     if n_terms is None:
@@ -133,8 +117,6 @@ def partition_direct(spec: Spectrum, beta: complex, n_terms: int | None = None,
     total = complex(np.sum(np.exp(-beta * energies)))
     r = cmath.exp(-beta * spec.gap)           # |r| < 1 here
     head = cmath.exp(-beta * spec.offset) * r ** n_terms
-    if tail == "geometric":
-        return result_from_value(total + head / (1.0 - r), 0.0, n_terms)
     err = abs(head) / (1.0 - abs(r))
     return result_from_value(total, err, n_terms)
 

@@ -356,7 +356,7 @@ def _functions(module, prefixes=("",)):
 _ZEROS_SIDE = {**_functions(product_forms), **_functions(zeta, ("hadamard_product",)),
                **_functions(qnm, ("conjectured_partition_log",)),
                **_functions(core, ("hurwitz_zeta",))}
-_SPECTRUM_SIDE = {**_functions(spectra, ("closed_form_", "partition_direct", "energy_level")),
+_SPECTRUM_SIDE = {**_functions(spectra, ("closed_form_", "partition_direct")),
                   **_functions(zeta, ("zeta_em",)),
                   **_functions(core, ("log_integers", "integer_powers"))}
 

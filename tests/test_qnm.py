@@ -112,6 +112,40 @@ def test_polynomial_ambiguity_shifts_by_its_value():
     assert abs((a - b) - shift) < 1e-12
 
 
+@st.composite
+def tower_spectra(draw):
+    """Spectra of up to 8 modes, closed under z -> -conj z or not."""
+    modes = draw(st.lists(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e4,
+                                             allow_nan=False, allow_infinity=False),
+                          min_size=1, max_size=8, unique=True))
+    if draw(st.booleans()):
+        modes = list(dict.fromkeys(modes + [-z.conjugate() for z in modes]))
+    return QNMSpectrum(modes=tuple(modes), temperature=draw(st.floats(0.05, 20.0)),
+                       pol_coefficients=tuple(draw(st.lists(st.floats(-5.0, 5.0), max_size=3))))
+
+
+@given(tower_spectra(), st.floats(-2.0, 2.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_one_loop_takes_one_tower_per_mode(spec, delta):
+    # tower(-i conj(z*)/2piT) is the conjugate of tower(i z*/2piT) bit for
+    # bit, so 2 Re tower(u) is a mode's two-tower sum exactly
+    try:
+        got = one_loop_log_partition(spec, delta)
+    except PoleError:
+        return
+    scale = TWO_PI * spec.temperature
+    pol = 0.0
+    for c in reversed(spec.pol_coefficients):
+        pol = pol * delta + c
+    want = complex(pol)
+    for z in spec.modes:
+        u, v = 1j * z / scale, -1j * z.conjugate() / scale
+        want += math.log(abs(z) / scale) + (gamma_regularized_tower(u)
+                                            + gamma_regularized_tower(v))
+    assert got.imag == 0.0
+    assert got.real == want.real
+
+
 # ------------------------------------------------------ conjectured partition
 
 def test_conjectured_at_origin_is_minus_action():
@@ -432,6 +466,11 @@ def test_spectrum_validation():
         QNMSpectrum(modes=(1j,), temperature=0.0)
     with pytest.raises(ValueError):
         QNMSpectrum(modes=(1.0 - 1j,), temperature=1.0, symmetry="reflection")
+    # 3-2i is further than DBL_MAX from the first mode's mirror, where
+    # complex abs raises OverflowError
+    with pytest.raises(ValueError, match=r"mode \(3-2j\) has no partner"):
+        QNMSpectrum(modes=(1.5e308 + 1.5e308j, -1.5e308 + 1.5e308j, 3 - 2j),
+                    temperature=1.0, symmetry="reflection")
     with pytest.raises(ValueError):
         QNMSpectrum(modes=(1j,), temperature=1.0, symmetry="mirror")
     with pytest.raises(ValueError):

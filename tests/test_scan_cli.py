@@ -768,16 +768,16 @@ def test_cli_oscillator_table(capsys):
         assert name in outp
 
 
-def test_cli_json_table_reads_back(tmp_path):
-    out = tmp_path / "t.json"
-    assert cli_dispatch(["oscillator", "--beta", "1", "--e0", "1", "--out", str(out),
-                         "--format", "json"]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["columns"] == ["method", "value", "abs_diff_vs_closed", "error_estimate"]
-    assert [row[0] for row in doc["rows"]] == ["direct_sum", "closed_form", "pole_product"]
+def test_cli_csv_table_reads_back(tmp_path):
+    out = tmp_path / "t.csv"
+    assert cli_dispatch(["oscillator", "--beta", "1", "--e0", "1", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        columns, *rows = csv.reader(fh)
+    assert columns == ["method", "value", "abs_diff_vs_closed", "error_estimate"]
+    assert [row[0] for row in rows] == ["direct_sum", "closed_form", "pole_product"]
     # fields are written with repr, so the values round-trip
-    assert complex(doc["rows"][1][1]) == closed_form_oscillator(1.0, 1.0)
-    assert complex(doc["rows"][2][1]) == pole_product_oscillator(1.0, 1.0, 100000).value
+    assert complex(rows[1][1]) == closed_form_oscillator(1.0, 1.0)
+    assert complex(rows[2][1]) == pole_product_oscillator(1.0, 1.0, 100000).value
 
 
 def test_cli_zeros_to_stdout(capsys):
@@ -803,6 +803,8 @@ def test_cli_exit_codes(tmp_path):
     assert cli_dispatch([]) == 1
     assert cli_dispatch(["scan", "--evaluator", "bogus",
                          "--region", "0", "1", "0", "1"]) == 1
+    # a table's --out writes CSV; --format belongs to scan
+    assert cli_dispatch(["oscillator", "--format", "json"]) == 1
     assert cli_dispatch(["scan", "--evaluator", "zeta_em",
                          "--region", "1", "0", "0", "1"]) == 2
     assert cli_dispatch(["zeta", "compare", "--re", "0.5", "--zero-count", "10"]) == 2
@@ -819,7 +821,12 @@ def test_cli_exit_codes(tmp_path):
     '{"modes": [[0.0, -1.0]]}',
     '{"modes": 5, "temperature": 1.0}',
     '{"modes": [[0.0, -1.0, 2.0]], "temperature": 1.0}',
-], ids=["not_json", "no_modes", "no_temperature", "modes_not_list", "three_numbers"])
+    # the distance from 3-2i to the first mode's mirror passes DBL_MAX
+    '{"modes": [[1.5e308, 1.5e308], [-1.5e308, 1.5e308], [3.0, -2.0]], '
+    '"temperature": 1.0, "symmetry": "reflection"}',
+    '{"modes": [[1' + "0" * 400 + ', -1.0]], "temperature": 1.0}',
+], ids=["not_json", "no_modes", "no_temperature", "modes_not_list", "three_numbers",
+        "mirror_distance_past_dbl_max", "int_past_float_range"])
 def test_cli_malformed_qnm_file_exits_2(tmp_path, capsys, text):
     f = tmp_path / "bad.json"
     f.write_text(text)

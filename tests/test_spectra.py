@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,38 +11,22 @@ from spectral_zeros.spectra import (
     affine,
     closed_form_affine,
     closed_form_oscillator,
-    energy_level,
     oscillator,
     partition_direct,
     primon,
 )
 
 
-# ------------------------------------------------------------ level access
+# ------------------------------------------------------------------ levels
 
-def test_oscillator_ground_level():
-    assert energy_level(oscillator(1.0), 0) == 0.5
-
-
-def test_primon_first_level_is_zero():
-    assert energy_level(primon(), 1) == 0.0
-
-
-def test_affine_levels():
-    assert energy_level(affine(0.0, 1.0), 7) == 7.0
-
-
-def test_primon_rejects_n_zero():
-    with pytest.raises(IndexError):
-        energy_level(primon(), 0)
-    with pytest.raises(IndexError):
-        energy_level(primon(), -3)
-
-
-@given(st.integers(0, 500), st.floats(0.1, 10.0))
-@settings(max_examples=100)
-def test_oscillator_levels_are_half_integer_multiples(n, e0):
-    assert energy_level(oscillator(e0), n) == (n + 0.5) * e0
+@given(st.integers(1, 500), st.floats(0.1, 10.0), st.floats(0.05, 5.0), st.floats(-10.0, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_oscillator_levels_are_half_integer_multiples(k, e0, beta_e0, im):
+    # the level sum takes E_n = (n + 1/2) E0 exactly, one rounding per level
+    beta = complex(beta_e0 / e0, im)
+    want = complex(np.sum(np.exp(-beta * ((np.arange(k) + 0.5) * e0))))
+    got = partition_direct(oscillator(e0), beta, n_terms=k).value
+    assert repr(got) == repr(want)     # bit for bit, signed zeros too
 
 
 # --------------------------------------------------------------- summation
@@ -79,16 +64,6 @@ def test_direct_matches_closed_form(beta_e0, e0):
     assert abs(r.value - cf) < 1e-12 * abs(cf)
 
 
-@given(st.floats(1.0, 5.0), st.floats(0.5, 3.0))
-@settings(max_examples=100, deadline=None)
-def test_geometric_tail_reaches_closed_form_at_30_terms(beta_e0, e0):
-    beta = beta_e0 / e0
-    r = partition_direct(oscillator(e0), beta, n_terms=30, tail="geometric")
-    cf = closed_form_oscillator(beta, e0)
-    assert abs(r.value - cf) < 1e-12 * abs(cf)
-    assert r.error_estimate == 0.0
-
-
 @given(st.lists(st.floats(0.5, 5.0), min_size=2, max_size=8, unique=True))
 @settings(max_examples=100, deadline=None)
 def test_partition_strictly_decreases_in_real_beta(betas):
@@ -107,14 +82,13 @@ def test_affine_offset_factors_out(a, g, beta):
 
 
 def test_divergence_outside_half_plane():
-    # at Re(beta)*gap = 1e-17 the ratio e^(-beta) rounds to 1, where neither
-    # tail is defined; at 1e-15 it does not, and the sum still answers
+    # at Re(beta)*gap = 1e-17 the ratio e^(-beta) rounds to 1, where the
+    # tail bound is not defined; at 1e-15 it does not, and the sum still answers
     for spec, beta in [(oscillator(1.0), -0.5), (affine(0.0, 1.0), complex(0.0, 3.0)),
                        (oscillator(1.0), 1e-17), (oscillator(1.0), complex(1e-17, 2.0))]:
-        for tail in ("none", "geometric"):
-            with pytest.raises(DivergenceDomainError) as exc:
-                partition_direct(spec, beta, tail=tail)
-            assert "Re(beta)*gap = " in str(exc.value) and "\n" not in str(exc.value)
+        with pytest.raises(DivergenceDomainError) as exc:
+            partition_direct(spec, beta)
+        assert "Re(beta)*gap = " in str(exc.value) and "\n" not in str(exc.value)
     r = partition_direct(oscillator(1.0), 1e-15)
     assert r.value == pytest.approx(1000.0, rel=1e-12)
     assert r.error_estimate == pytest.approx(1.000799917192443e15, rel=1e-12)
