@@ -13,17 +13,19 @@ routes are played against each other in the tests:
    prefactor (hadamard_product), taking zero ordinates from find_zeros
    or from a plain-text file.
 
-find_zeros locates critical-line zeros as sign changes of the
-Hardy-type function Z(t) = Re[e^{i theta(t)} zeta(1/2+it)] with
+find_zeros locates critical-line zeros as sign changes of Hardy's
+Z(t) = e^{i theta(t)} zeta(1/2+it), real for real t, with
 theta(t) = Im log Gamma(1/4 + it/2) - (t/2) ln pi, then bisects.  The
 scan is one array of signs over a window worked out from the count, and
 one function, _hardy_sign, gives every sign, in the scan and in the
 bisection: the Riemann-Siegel formula (riemann_siegel_z, ~sqrt(t/2pi)
-terms) wherever its error bound certifies the sign, hardy_z, the
-Euler-Maclaurin Z, everywhere else.  So each sign, and with it the table,
-is the one hardy_z alone would give.  Euler-Maclaurin also verifies:
-every ordinate must pass |zeta(1/2 + i gamma_k)| < 1e-8 by zeta_em,
-whose adaptive rule cutoff >= 2|Im s| + 50 keeps that honest.
+terms) wherever its error bound certifies the sign, and one call of
+hardy_z_array, the Euler-Maclaurin Z as an array kernel, on every other
+node.  hardy_z is a one-node call of that kernel, so each sign, and with
+it the table, is the one hardy_z alone would give.  Euler-Maclaurin also
+verifies, independently of theta: every ordinate must pass
+|zeta(1/2 + i gamma_k)| < 1e-8 by zeta_em, whose adaptive rule
+cutoff >= 2|Im s| + 50 keeps that honest.
 
 The series routes form n^-s as exp(-s ln n) with ln n read from a table
 (core.integer_powers, core.log_integers: 1 MiB at most, n <= 2^17, built
@@ -36,7 +38,6 @@ slices too.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ import numpy as np
 
 from .core import (
     AccuracyWarning,
+    CHUNK_ELEMENTS,
     DivergenceDomainError,
     EVEN_BERNOULLI,
     EvaluationResult,
@@ -54,6 +56,7 @@ from .core import (
     ZeroHitSignal,
     hurwitz_zeta,
     integer_powers,
+    log_integers,
     node_chunks,
     result_from_log,
     result_from_value,
@@ -85,6 +88,9 @@ _BISECTIONS = 28
 # C_4 holds from here on; _rs_margin is validated up to _RS_T_MAX
 _RS_T_MIN = 200.0
 _RS_T_MAX = 6e4
+
+# hardy_z_array pads each node's head row to a multiple of this many terms
+_HARDY_PAD = 64
 
 
 def _rs_corrections() -> tuple[tuple[float, ...], ...]:
@@ -396,9 +402,87 @@ def riemann_siegel_theta(t):
 
 
 def hardy_z(t: float) -> float:
-    """Real-valued on the critical line; its sign changes are the zeros."""
-    return (cmath.exp(complex(0.0, riemann_siegel_theta(t)))
-            * zeta_critical_line(t)).real
+    """Hardy's Z(t) = e^{i theta(t)} zeta(1/2 + it), real for real t; its
+    sign changes are the critical-line zeros.  One node of hardy_z_array,
+    so a node's value is the same alone or in a batch."""
+    return float(hardy_z_array(np.array([float(t)]))[0])
+
+
+def hardy_z_array(t: np.ndarray) -> np.ndarray:
+    """Hardy's Z on a 1-D array of finite t by zeta_em's Euler-Maclaurin sum,
+    cutoff N = max(100, ceil(2|t| + 50)) per node and the same six
+    corrections, rotated by e^{i theta} term by term:
+
+        sum_{n<N} n^{-1/2} cos(theta - t ln n)
+          + Re[e^{i theta} (N^{1-s}/(s-1) + N^{-s}/2 + corrections)],
+
+    s = 1/2 + it: one real cosine per head term, ln n read from
+    core.log_integers, theta from one riemann_siegel_theta call.  Each
+    node's head row is padded with zero terms to a multiple of 64 and
+    summed with the nodes of the same padded width, in blocks of at most
+    CHUNK_ELEMENTS terms, every node x term temporary within
+    CHUNK_ELEMENTS; so a node's value does not depend on the other nodes
+    of the call.  Raises ValueError naming the first non-finite t.
+
+    Rounding, eps = 2^-52, for |t| >= 2: theta is within
+    eps (|theta| + |t| ln N) (twice its worst error against
+    mpmath.siegeltheta on [2, 6e4]), so each phase theta - t ln n is off
+    by at most eps (1.5 |theta| + 3 |t| ln N), and each head term by
+    3 eps n^{-1/2} more; the pairwise sum adds eps (log2 N + 1) per term;
+    the tail, below 2 sqrt(N), carries the same phase error.  The
+    truncation after six corrections is far below rounding.  With
+    2 log2 N + 10 <= 3 |t| ln N:
+
+        |hardy_z_array(t) - Z(t)| <= eps (3 |theta| + 9 |t| ln N) sum_{n<=N} n^{-1/2}.
+
+    That is a worst case, in which no two phase errors cancel.  Against
+    mpmath.siegelz the error was at most 2.0e-12 on [2, 1500], where the
+    bound is about 3e-9, and at most 6.5e-16 |t| ln |t| on [200, 6e4].
+    """
+    t = np.asarray(t, dtype=np.float64)
+    bad = ~np.isfinite(t)
+    if bad.any():
+        raise ValueError(f"Hardy's Z needs a finite t, got {t[bad][0]}")
+    cutoff = np.maximum(100.0, np.ceil(2.0 * np.abs(t) + 50.0))
+    n_cut = cutoff.astype(np.int64)
+    width = -(-(n_cut - 1) // _HARDY_PAD) * _HARDY_PAD
+    theta = riemann_siegel_theta(t)
+    n_max = int(width.max(initial=0))
+    log_n = log_integers(1, n_max + 2)       # ln 1 .. ln(n_max + 1), and N <= n_max + 1
+    inv_sqrt_n = 1.0 / np.sqrt(np.arange(1.0, n_max + 1.0))
+    z = np.empty(t.shape)
+    for w in sorted(set(width.tolist())):
+        group = np.flatnonzero(width == w)
+        t_g, theta_g, cutoff_g = t[group], theta[group], cutoff[group]
+        head = np.zeros(group.size)
+        for start in range(0, w, CHUNK_ELEMENTS):
+            stop = min(w, start + CHUNK_ELEMENTS)
+            n = np.arange(start + 1.0, stop + 1.0)
+            for sl in node_chunks(group.size, stop - start):
+                # one node x term temporary: the phases, then the terms in place
+                terms = t_g[sl, None] * log_n[start:stop]
+                np.subtract(theta_g[sl, None], terms, out=terms)
+                np.cos(terms, out=terms)
+                terms *= inv_sqrt_n[start:stop]
+                terms[n >= cutoff_g[sl, None]] = 0.0
+                head[sl] += terms.sum(axis=1)
+        z[group] = head
+    # the tail is N^-s (N/(s-1) + 1/2 + sum_k B_2k/(2k)! (s)...(s+2k-2) N^(1-2k)),
+    # and e^{i theta} N^-s = N^{-1/2} e^{i (theta - t ln N)}
+    s = 0.5 + 1j * t
+    inv_n2 = 1.0 / (cutoff * cutoff)
+    bracket = cutoff / (s - 1.0) + 0.5
+    rising = s                      # (s)(s+1)...(s+2k-2), grown incrementally
+    fact = 2.0                      # (2k)!
+    npow = 1.0 / cutoff             # N^{1-2k}
+    for k in range(1, _EM_CORRECTIONS + 1):
+        bracket += EVEN_BERNOULLI[k - 1] / fact * rising * npow
+        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
+        fact *= (2 * k + 1) * (2 * k + 2)
+        npow = npow * inv_n2
+    phase = theta - t * log_n[n_cut - 1]
+    z += (np.cos(phase) * bracket.real - np.sin(phase) * bracket.imag) / np.sqrt(cutoff)
+    return z
 
 
 def riemann_siegel_z(t: np.ndarray) -> np.ndarray:
@@ -443,22 +527,24 @@ def riemann_siegel_z(t: np.ndarray) -> np.ndarray:
 def _rs_margin(t: np.ndarray) -> np.ndarray:
     """Bound on |riemann_siegel_z(t) - hardy_z(t)| for t >= 200: Gabcke's
     remainder bound plus 1e-14 t ln t for the rounding of the phases
-    theta - t ln n in both.  Against mpmath.siegelz on 400 points of
-    [200, 6e4], that rounding was at most 8e-16 t ln t in riemann_siegel_z
-    and 3e-16 t ln t in hardy_z."""
+    theta - t ln n in both.  Against mpmath.siegelz on 400 uniform points
+    of [200, 6e4], that rounding was at most 1.5e-15 t ln t in
+    riemann_siegel_z (at t = 11575.5, where |riemann_siegel_z - Z| reached
+    0.45 of this margin) and 6.5e-16 t ln t in hardy_z."""
     return 0.017 * t ** -2.75 + 1e-14 * t * np.log(t)
 
 
 def _hardy_sign(t: np.ndarray) -> np.ndarray:
     """hardy_z on an array of t, or a value of the same sign:
     riemann_siegel_z where _rs_margin certifies its sign (t >= 200 and |Z|
-    above the margin), the module-global hardy_z at every other node."""
+    above the margin), one call of the module-global hardy_z_array on
+    every other node."""
     z = np.full(t.shape, np.nan)
     fast = t >= _RS_T_MIN
     z_rs = riemann_siegel_z(t[fast])
     z[fast] = np.where(np.abs(z_rs) > _rs_margin(t[fast]), z_rs, np.nan)
-    for i in np.flatnonzero(np.isnan(z)).tolist():
-        z[i] = hardy_z(t[i].item())
+    slow = np.isnan(z)
+    z[slow] = hardy_z_array(t[slow])
     return z
 
 
@@ -483,16 +569,18 @@ def find_zeros(count: int) -> ZetaZeroTable:
     """First `count` critical-line ordinates by scan + bisection on the sign of Z.
 
     Deterministic: _hardy_sign decides every sign on the nodes 2 + 0.25k
-    below _estimated_window(count), so each sign, and the table, is the
-    one hardy_z alone gives.  An event is a zero on a node or a sign change
-    into a nonzero node; the first `count` events are kept and their
-    brackets bisected together (|dt| < 1e-9).  ArithmeticError unless
-    every |zeta(1/2 + i gamma)| < 1e-8 by zeta_em; WindowExhaustedError if
-    the window holds fewer events, NumericalDomainError if it passes
-    _RS_T_MAX (count > 59713).  Known miss: two zeros in one scan cell
-    give no sign change, so both are skipped and every later index shifts.
-    The first such pair is gamma_922/gamma_923 (t = 1329.04, 1329.21): the
-    table is exact for count <= 921 only (a strict-xfail test pins this).
+    below _estimated_window(count), Riemann-Siegel where it certifies the
+    sign and one hardy_z_array call for the rest, so each sign, and the
+    table, is the one hardy_z alone gives.  An event is a zero on a node
+    or a sign change into a nonzero node; the first `count` events are
+    kept and their brackets bisected together (|dt| < 1e-9).
+    ArithmeticError unless every |zeta(1/2 + i gamma)| < 1e-8 by zeta_em;
+    WindowExhaustedError if the window holds fewer events,
+    NumericalDomainError if it passes _RS_T_MAX (count > 59713).  Known
+    miss: two zeros in one scan cell give no sign change, so both are
+    skipped and every later index shifts.  The first such pair is
+    gamma_922/gamma_923 (t = 1329.04, 1329.21): the table is exact for
+    count <= 921 only (a strict-xfail test pins this).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
