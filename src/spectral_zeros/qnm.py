@@ -177,7 +177,7 @@ def truncated_tower_ratio(a: complex, b: complex, n_factors: int) -> complex:
     n = np.arange(n_factors, dtype=np.float64)
     log_ratio = complex(np.sum(np.log(n + b) - np.log(n + a)))
     log_ratio += (a - b) * math.log(n_factors)
-    return cmath.exp(log_ratio)
+    return result_from_log(log_ratio).value
 
 
 def _pol_value(spec: QNMSpectrum, delta: float) -> float:

@@ -15,7 +15,6 @@ Identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import itertools
 import json
@@ -30,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .core import EXP_UNDERFLOW, TWO_PI
+from .core import EXP_UNDERFLOW, TWO_PI, result_from_log
 from .product_forms import pole_product_oscillator, pole_product_oscillator_array
 from .qnm import (
     QNMSpectrum,
@@ -46,6 +45,7 @@ from .spectra import (
     partition_direct,
 )
 from .zeta import (
+    ZetaZeroTable,
     euler_product,
     explicit_formula_psi,
     find_zeros,
@@ -143,13 +143,14 @@ def _zeta_em(cutoff=None):
 def _zero_table(zeros, zero_count):
     """(table, count), the one way the CLI and the zeta_hadamard scan get
     zeros: a table as given, a path ingested, else find_zeros(zero_count),
-    of 100 zeros for no count or one below 1; the count is the whole table
-    unless zero_count is given, and the kernels reject it if out of range."""
+    of 100 zeros for no count and none for a count below 1; the count is
+    the whole table unless zero_count is given, and the kernels reject it
+    if out of range."""
     if isinstance(zeros, (str, os.PathLike)):
         zeros = ingest_zeros_file(zeros)
     elif zeros is None:
-        n = int(zero_count or 0)
-        zeros = find_zeros(n if n > 0 else 100)
+        n = 100 if zero_count is None else int(zero_count)
+        zeros = find_zeros(n) if n > 0 else ZetaZeroTable(())
     return zeros, len(zeros) if zero_count is None else int(zero_count)
 
 
@@ -303,18 +304,16 @@ def write_csv(scan: GridScan, path) -> None:
 _NODES = "nodes placeholder"
 
 
-def write_json(scan: GridScan, path, meta: dict | None = None) -> None:
-    """A sorted-key document: meta (if given), nodes as
-    [re, im, log_abs, arg, flag] lists in row-major order, region and
-    resolution.
+def write_json(scan: GridScan, path, meta: dict) -> None:
+    """A sorted-key document: meta, nodes as [re, im, log_abs, arg, flag]
+    lists in row-major order, region and resolution.
 
     Floats are written with repr, as json writes them.  The node list is
     written one grid row at a time, so memory stays flat whatever the
     resolution.
     """
-    doc = {"region": list(scan.region), "resolution": list(scan.resolution), "nodes": _NODES}
-    if meta is not None:
-        doc["meta"] = meta
+    doc = {"meta": meta, "region": list(scan.region), "resolution": list(scan.resolution),
+           "nodes": _NODES}
     # only region and resolution, plain numbers, follow the node list
     head, _, tail = json.dumps(doc, sort_keys=True, separators=(",", ":")).rpartition(
         json.dumps(_NODES))
@@ -399,9 +398,10 @@ def _cmd_oscillator(args) -> int:
     closed = closed_form_oscillator(beta, args.e0)
     product = pole_product_oscillator(beta, args.e0, n_factors=args.factors)
     rows = [
-        ["direct_sum", direct.value, abs(direct.value - closed), direct.error_estimate],
-        ["closed_form", closed, 0.0, 0.0],
-        ["pole_product", product.value, abs(product.value - closed), product.error_estimate],
+        ["direct_sum", direct.value, abs(direct.value - closed.value), direct.error_estimate],
+        ["closed_form", closed.value, 0.0, closed.error_estimate],
+        ["pole_product", product.value, abs(product.value - closed.value),
+         product.error_estimate],
     ]
     _emit_table(["method", "value", "abs_diff_vs_closed", "error_estimate"], rows, args)
     return 0
@@ -443,8 +443,8 @@ def _cmd_zeta_explicit(args) -> int:
 
 def _cmd_qnm_oneloop(args) -> int:
     spec = load_qnm_file(args.spectrum)
-    log_z = one_loop_log_partition(spec, delta=args.delta)
-    rows = [[len(spec.modes), spec.temperature, log_z, cmath.exp(log_z)]]
+    z = result_from_log(one_loop_log_partition(spec, delta=args.delta))
+    rows = [[len(spec.modes), spec.temperature, z.log_value, z.value]]
     _emit_table(["modes", "temperature", "log_partition", "partition"], rows, args)
     return 0
 

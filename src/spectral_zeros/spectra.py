@@ -13,16 +13,16 @@ kept independent of every closed form and product evaluation elsewhere
 in the package.
 
 The closed forms sum the same geometric series exactly:
-closed_form_affine_array evaluates exp(-beta a) / (1 - e^{-beta g}) over
-an array of nodes, and closed_form_affine and closed_form_oscillator
-(a = E0/2, g = E0, i.e. 1/(2 sinh(beta E0/2))) are one-node calls of it.
+closed_form_affine_array evaluates log[exp(-beta a) / (1 - e^{-beta g})]
+over an array of nodes, and closed_form_affine and closed_form_oscillator
+(a = E0/2, g = E0, i.e. 1/(2 sinh(beta E0/2))) are one-node calls of it
+returning an EvaluationResult, like every product and series route.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +35,9 @@ from .core import (
     integer_powers,
     lattice_pole_mask,
     node_chunks,
+    result_from_log,
     result_from_value,
 )
-
-# log of the smallest normal double: the closed forms flush to 0 below it
-_LOG_TINY = math.log(sys.float_info.min)
 
 _DEFAULT_TERMS = {"affine": 1000, "primon": 100_000}
 
@@ -121,7 +119,7 @@ def partition_direct(spec: Spectrum, beta: complex, n_terms: int | None = None) 
     return result_from_value(total, err, n_terms)
 
 
-def closed_form_oscillator(beta: complex, e0: float) -> complex:
+def closed_form_oscillator(beta: complex, e0: float) -> EvaluationResult:
     """1/(2 sinh(beta E0/2)), closed_form_affine at offset E0/2 and gap E0.
 
     Raises PoleError carrying the nearest integer k when beta*E0 is
@@ -132,16 +130,17 @@ def closed_form_oscillator(beta: complex, e0: float) -> complex:
     return closed_form_affine(beta, spec.offset, spec.gap)
 
 
-def closed_form_affine(beta: complex, offset: float, gap: float) -> complex:
+def closed_form_affine(beta: complex, offset: float, gap: float) -> EvaluationResult:
     """exp(-beta*offset) / (1 - exp(-beta*gap)), the geometric closed form.
 
     Poles sit at beta*gap = 2*pi*i*k independently of the offset, which
     only scales the residues; this is the analytic content of "the poles
     alone can't determine the energy level".  One node of
-    closed_form_affine_array, so no intermediate overflows; a value below
-    the normal range of doubles (|Z| < 2.2e-308; for the oscillator, from
-    |Re beta E0| > ~1417) underflows to 0.  Raises PoleError carrying the
-    nearest k on the lattice.
+    closed_form_affine_array, whose log Z is the scan node bit for bit;
+    the result is result_from_log's (error estimate 0, no terms), so the
+    value is exp(log Z): subnormal down to EXP_UNDERFLOW, 0 below it and
+    inf past log|Z| = 709.78, while log_value holds |Z| at any size.  Raises
+    PoleError carrying the nearest k on the lattice.
     """
     beta = complex(beta)
     log_z = closed_form_affine_array(np.array([beta]), offset, gap)[0]
@@ -149,7 +148,7 @@ def closed_form_affine(beta: complex, offset: float, gap: float) -> complex:
         k = round((beta * gap).imag / TWO_PI)
         raise PoleError(f"closed form has a pole at beta*gap = 2*pi*i*{k}",
                         location=beta, nearest=k)
-    return 0j if log_z.real == -math.inf else cmath.exp(log_z)
+    return result_from_log(log_z)
 
 
 def _one_minus_exp(a, b):
@@ -177,8 +176,8 @@ def closed_form_affine_array(beta: np.ndarray, offset: float, gap: float) -> np.
     intermediate overflows: log Z = -beta*offset - log(1 - e^{-x}), or
     for Re x < 0, where Z = -exp(beta*(gap - offset)) / (1 - e^{x}),
     log Z = beta*(gap - offset) - log(1 - e^{-y}) + i pi.  log Z is +inf on
-    the lattice x = 2 pi i k, and Re log Z is -inf where |Z| is below the
-    normal range of doubles, the flush to 0.
+    the lattice x = 2 pi i k; there is no flush to 0, so grid_scan's
+    EXP_UNDERFLOW alone decides where a node is a zero.
     """
     if not gap > 0:
         raise ValueError(f"affine gap must be positive, got {gap}")
@@ -203,8 +202,7 @@ def closed_form_affine_array(beta: np.ndarray, offset: float, gap: float) -> np.
             exp_re = np.where(flip, p + np.nan_to_num(p_err + b_re * d_err), -(b_re * offset))
             exp_im = np.where(flip, b_im * d + b_im * d_err, -(b_im * offset))
             den_re, den_im, sin_half = _one_minus_exp(np.abs(x_re), np.where(flip, -x_im, x_im))
-            log_z.real[sl] = log_abs = exp_re - np.log(np.hypot(den_re, den_im))
-            log_z.real[sl][log_abs < _LOG_TINY] = -np.inf
+            log_z.real[sl] = exp_re - np.log(np.hypot(den_re, den_im))
             # arctan2 reduces the exponent's phase exactly; pi is the sign of -1
             log_z.imag[sl] = (np.arctan2(np.sin(exp_im), np.cos(exp_im))
                               - np.arctan2(den_im, den_re) + np.where(flip, math.pi, 0.0))

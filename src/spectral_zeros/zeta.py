@@ -494,7 +494,8 @@ def riemann_siegel_z(t: np.ndarray) -> np.ndarray:
     a = sqrt(t/2pi), N = floor(a), p = a - N (Edwards, Riemann's Zeta
     Function, ch. 7).  From t = 200 on, Gabcke's 0.017 t^(-11/4) bounds the
     omitted remainder; _rs_margin adds the float rounding.  The C_k are
-    _rs_corrections' polynomials in p - 1/2, by Horner's rule.
+    _rs_corrections' polynomials in p - 1/2, by Horner's rule; ln n comes
+    from core.log_integers.
     """
     t = np.asarray(t, dtype=np.float64)
     a = np.sqrt(t / TWO_PI)
@@ -504,7 +505,7 @@ def riemann_siegel_z(t: np.ndarray) -> np.ndarray:
     theta = riemann_siegel_theta(t)
     width = int(n_main.max(initial=0.0))
     n = np.arange(1.0, width + 1.0)
-    log_n = np.log(n)
+    log_n = log_integers(1, width + 1)
     inv_sqrt_n = 1.0 / np.sqrt(n)
     z = np.empty(t.shape)
     for sl in node_chunks(t.size, width):

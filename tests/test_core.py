@@ -283,3 +283,24 @@ def test_only_scan_cli_writes_flags():
             if name == "EXP_UNDERFLOW" and path.name not in ("core.py", "scan_cli.py"):
                 offenders.append((path.name, name))
     assert offenders == []
+
+
+def _is_exp_of_a_log(node):
+    """True for a call cmath.exp(x) whose argument is a name beginning with log."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "exp" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "cmath" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Name) and node.args[0].id.startswith("log"))
+
+
+def test_only_core_turns_a_log_into_a_value():
+    # result_from_log is the one rule from log Z to Z: 0 for Re log Z = -inf,
+    # inf past log(DBL_MAX), OverflowError for NaN.  A cmath.exp of a log
+    # elsewhere is a second rule, which raised OverflowError for a finite
+    # log Z past 709.78 or stood beside a private flush to 0
+    package = Path(spectral_zeros.__file__).parent
+    offenders = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+                 if path.name != "core.py"
+                 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                 if _is_exp_of_a_log(node)]
+    assert offenders == []

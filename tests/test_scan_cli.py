@@ -1,6 +1,7 @@
 import argparse
 import cmath
 import csv
+import functools
 import io
 import itertools
 import json
@@ -29,7 +30,12 @@ from spectral_zeros.core import (
     ZeroHitSignal,
 )
 from spectral_zeros.product_forms import pole_product_oscillator
-from spectral_zeros.qnm import QNMSpectrum, conjectured_partition_log, qnm_to_json
+from spectral_zeros.qnm import (
+    QNMSpectrum,
+    conjectured_partition_log,
+    qnm_to_json,
+    synthetic_affine_tower,
+)
 from spectral_zeros.scan_cli import (
     GridScan,
     cli_dispatch,
@@ -58,7 +64,7 @@ def test_nodes_match_direct_evaluation():
     for idx in range(20):
         row, col = divmod(idx, 5)
         z = complex(re_axis[col], im_axis[row])
-        want = cmath.log(closed_form_oscillator(z, 1.0))
+        want = cmath.log(closed_form_oscillator(z, 1.0).value)
         assert scan.flags[idx] == ""
         assert abs(scan.log_abs[idx] - want.real) < 1e-13
         assert abs(scan.arg[idx] - want.imag) < 1e-13
@@ -219,6 +225,29 @@ def test_rejected_parameters_cost_no_setup(monkeypatch):
         make_evaluator("zeta_hadamard", zero_count=600, cutoff=5)
 
 
+@pytest.mark.parametrize("zero_count", [0, -1])
+def test_a_zero_count_below_1_finds_no_zeros(monkeypatch, capsys, zero_count):
+    # a count of 0 uses no zeros and -1 is rejected: neither needs the 100
+    # zeros find_zeros would locate, nor the scipy import that comes with them
+    def spy_find_zeros(*args, **kwargs):
+        raise AssertionError("find_zeros ran for a zero count below 1")
+    monkeypatch.setattr(scan_cli, "find_zeros", spy_find_zeros)
+    count = str(zero_count)
+    for argv in (["zeta", "compare", "--zero-count", count],
+                 ["zeta", "explicit", "--x", "20", "--zero-count", count]):
+        assert cli_dispatch(argv) == (0 if zero_count == 0 else 2), argv
+    err = capsys.readouterr().err
+    assert err == ("" if zero_count == 0 else "error: zero_count must be >= 0, got -1\n" * 2)
+    fn = make_evaluator("zeta_hadamard", zero_count=zero_count)
+    if zero_count < 0:
+        with pytest.raises(ValueError, match="zero_count must be >= 0, got -1"):
+            fn(np.array([2.0 + 0.5j]))
+    else:
+        # no zero factor: the value any table gives at count 0
+        assert fn(np.array([2.0 + 0.5j])) == \
+            make_evaluator("zeta_hadamard", zeros=_TWO_ZEROS, zero_count=0)(np.array([2.0 + 0.5j]))
+
+
 @pytest.mark.parametrize("name, library_fn, params", [
     # the oscillator closed form is the affine kernel at offset E0/2, gap E0
     ("oscillator_closed", "closed_form_affine", {"e0": 2.0}),
@@ -256,7 +285,7 @@ _TWO_ZEROS = ZetaZeroTable((_GAMMA_1, 21.022039638771555))
 
 @pytest.mark.parametrize("evaluator, params, node, kernel_re, flag", [
     ("oscillator_closed", {"e0": TWO_PI}, 1j, math.inf, "pole"),            # beta E0 = 2 pi i
-    ("oscillator_closed", {}, 1450.0 + 0j, -math.inf, "zero"),              # log|Z| = -725
+    ("oscillator_closed", {}, 1500.0 + 0j, -750.0, "zero"),                 # finite, exp gives 0
     ("oscillator_product", {"e0": TWO_PI}, 1j, math.inf, "pole"),
     ("oscillator_product", {"e0": TWO_PI}, 240.0 + 0j, -754.52, "zero"),    # finite, exp gives 0
     ("zeta_em", {}, 1.0 + 0j, math.inf, "pole"),
@@ -340,7 +369,6 @@ def _dyadic_grid(draw, bound):
 # there, (exception, attribute, value), or None where the scalar returns 0.
 
 _ORACLE_GATE = settings(max_examples=40, deadline=None, derandomize=True)
-_TINY_LOG = math.log(sys.float_info.min)
 
 
 def _mp():
@@ -349,9 +377,9 @@ def _mp():
     return mpmath
 
 
-def _mp_flag(mpmath, log_z, floor):
-    """The oracle's node for a finite mpmath log: "zero" below floor."""
-    if log_z.real < floor:
+def _mp_flag(log_z):
+    """The oracle's node for a finite mpmath log: "zero" below EXP_UNDERFLOW."""
+    if log_z.real < EXP_UNDERFLOW:
         return "zero", None
     return "", complex(float(log_z.real), float(log_z.imag))
 
@@ -390,12 +418,12 @@ def _assert_scan_matches_oracle(evaluator, region, resolution, params, oracle, s
 
 
 def _mp_closed_form(z, e0):
-    """log of 1/(2 sinh(x/2)), x = beta E0; "zero" below the normal range."""
+    """log of 1/(2 sinh(x/2)), x = beta E0."""
     mpmath = _mp()
     x = mpmath.mpc(z) * e0
     if pole := _lattice_pole(mpmath, x):
         return "pole", pole
-    return _mp_flag(mpmath, -mpmath.log(2 * mpmath.sinh(x / 2)), _TINY_LOG)
+    return _mp_flag(-mpmath.log(2 * mpmath.sinh(x / 2)))
 
 
 def _mp_pole_product(z, e0, n_factors):
@@ -410,14 +438,15 @@ def _mp_pole_product(z, e0, n_factors):
                 - mpmath.loggamma(1 + 1j * a) - mpmath.loggamma(1 - 1j * a)
                 - 2 * mpmath.loggamma(n + 1))
     log_z = -mpmath.log(x) - log_prod - a * a * mpmath.psi(1, n + 1)
-    return _mp_flag(mpmath, log_z, EXP_UNDERFLOW)
+    return _mp_flag(log_z)
 
 
 @_ORACLE_GATE
 @given(grid=_dyadic_grid(8.0), e0=st.sampled_from([1.0, TWO_PI]))
 @example(grid=((-0.5, 0.5, -2.0, 2.0), (5, 9)), e0=TWO_PI)           # lattice i k, k = -2..2
-@example(grid=((1400.0, 1440.0, -1.0, 1.0), (6, 3)), e0=1.0)         # value underflows to 0
+@example(grid=((1400.0, 1440.0, -1.0, 1.0), (6, 3)), e0=1.0)         # subnormal values
 @example(grid=((-1440.0, -1400.0, 1e6, 1e6 + 8.0), (6, 3)), e0=1.0)
+@example(grid=((1480.0, 1500.0, -1.0, 1.0), (5, 3)), e0=1.0)         # log|Z| -740 to -750
 @example(grid=((0.0, 1.0, 1e17, 1e18), (2, 5)), e0=1.0)             # Im spacing > 2 pi: no pole
 def test_closed_form_scan_matches_scalar(grid, e0):
     _assert_scan_matches_oracle("oscillator_closed", *grid, {"e0": e0},
@@ -435,6 +464,34 @@ def test_pole_product_scan_matches_scalar(grid, n_factors):
     _assert_scan_matches_oracle("oscillator_product", *grid, {"e0": e0, "n_factors": n_factors},
                                 lambda z: _mp_pole_product(z, e0, n_factors),
                                 lambda z: pole_product_oscillator(z, e0, n_factors))
+
+
+@pytest.mark.parametrize("region, resolution, e0, zeros_poles", [
+    ((1400.0, 1500.0, 0.1, 1.0), (4, 4), 1.0, (4, 0)),          # log|Z| -700 .. -750
+    ((-1500.0, -1400.0, -1.0, -0.1), (4, 4), 1.0, (4, 0)),      # its mirror
+    ((-0.5, 0.5, -2.0, 2.0), (5, 9), TWO_PI, (0, 5)),           # lattice i k, k = -2..2
+], ids=["far_right", "far_left", "lattice"])
+def test_closed_form_and_pole_product_flag_the_same_nodes(region, resolution, e0, zeros_poles):
+    # the oscillator's two routes share grid_scan's one zero rule,
+    # EXP_UNDERFLOW: a private flush to 0 in either flags more zeros on the
+    # far grids.  Every column is at least 1 from EXP_UNDERFLOW in log|Z|,
+    # beyond the 1000-factor product's ~0.5 error in log|Z| at |beta E0| ~ 1450
+    closed = grid_scan("oscillator_closed", region, resolution, {"e0": e0})
+    product = grid_scan("oscillator_product", region, resolution,
+                        {"e0": e0, "n_factors": 1000})
+    assert closed.flags.tolist() == product.flags.tolist()
+    assert (closed.flag_count("zero"), closed.flag_count("pole")) == zeros_poles
+    re_axis, im_axis = closed.axes()
+    z = (re_axis + 1j * im_axis[:, None]).ravel()
+    log_z = make_evaluator("oscillator_closed", e0=e0)(z)
+    assert (np.abs(log_z.real - EXP_UNDERFLOW) >= 1.0).all()
+    # the scalar's log_value is its scan node bit for bit
+    for node, want in zip(z.tolist(), log_z.tolist()):
+        if want == math.inf:
+            with pytest.raises(PoleError):
+                closed_form_oscillator(node, e0)
+        else:
+            assert closed_form_oscillator(node, e0).log_value == want, node
 
 
 # zeta_em_array calls zeta_em once per node, so its scan is checked
@@ -493,7 +550,7 @@ def _mp_hadamard(z, zero_count):
              + mpmath.loggamma(m + 1 + b / 2) - mpmath.loggamma(1 + b / 2)
              - mpmath.loggamma(m + 1) - b / 2 * mpmath.harmonic(m)
              - b * b / 8 * mpmath.psi(1, m + 1))
-    return _mp_flag(mpmath, log_z, EXP_UNDERFLOW)
+    return _mp_flag(log_z)
 
 
 @_ORACLE_GATE
@@ -542,7 +599,7 @@ def _mp_qnm(z, spec):
         return "zero", (ZeroHitSignal, "index", spec.modes.index(z))
     log_z = (mpmath.log(mpmath.fprod(1 - mpmath.mpc(z) / mpmath.mpc(a) for a in spec.modes))
              - spec.euclidean_action)
-    return _mp_flag(mpmath, log_z, EXP_UNDERFLOW)
+    return _mp_flag(log_z)
 
 
 _PAIRED = QNMSpectrum(modes=(0.5 - 1j, -0.5 - 1j, 0.25j, 1.0 + 0.5j, -1.0 + 0.5j),
@@ -626,14 +683,13 @@ def _reference_write_csv(scan, path):
                     for x, y, la, ph, flag in _reference_node_rows(scan))
 
 
-def _reference_write_json(scan, path, meta=None):
+def _reference_write_json(scan, path, meta):
     doc = {
+        "meta": meta,
         "region": list(scan.region),
         "resolution": list(scan.resolution),
         "nodes": list(_reference_node_rows(scan)),
     }
-    if meta is not None:
-        doc["meta"] = meta
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
@@ -664,10 +720,10 @@ def _grid_scans(draw):
                     arg=draw(values), flags=np.array(draw(flags), dtype="U4"))
 
 
-_META = st.one_of(st.none(), st.dictionaries(
+_META = st.dictionaries(
     st.text(max_size=8),
     st.one_of(st.text(max_size=8), _FLOATS, st.integers(), st.lists(st.text(max_size=4))),
-    max_size=3))
+    max_size=3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -699,7 +755,8 @@ def test_grid_scan_rejects_non_finite_values():
                      log_abs=np.array([0.0]), arg=np.array([bad]), flags=np.array([""]))
 
 
-@pytest.mark.parametrize("writer", [write_csv, write_json], ids=["csv", "json"])
+@pytest.mark.parametrize("writer", [write_csv, functools.partial(write_json, meta={})],
+                         ids=["csv", "json"])
 def test_writers_memory_is_flat(tmp_path, writer):
     # a tuple per node, or the whole JSON document as one string, peaks at
     # 10.8 MiB (CSV) and 40.7 MiB (JSON) on this grid
@@ -733,8 +790,6 @@ def test_json_writer_and_meta(tmp_path):
     assert doc["resolution"] == [3, 2]
     assert len(doc["nodes"]) == 6
     assert doc["meta"]["evaluator"] == "oscillator_closed"
-    write_json(scan, p)
-    assert "meta" not in json.loads(p.read_text())
 
 
 def test_pgm_is_valid_p5(tmp_path):
@@ -776,7 +831,7 @@ def test_cli_csv_table_reads_back(tmp_path):
     assert columns == ["method", "value", "abs_diff_vs_closed", "error_estimate"]
     assert [row[0] for row in rows] == ["direct_sum", "closed_form", "pole_product"]
     # fields are written with repr, so the values round-trip
-    assert complex(rows[1][1]) == closed_form_oscillator(1.0, 1.0)
+    assert complex(rows[1][1]) == closed_form_oscillator(1.0, 1.0).value
     assert complex(rows[2][1]) == pole_product_oscillator(1.0, 1.0, 100000).value
 
 
@@ -1134,20 +1189,21 @@ def test_cli_qnm_surface(tmp_path, capsys):
     assert out_csv.read_text().splitlines()[0] == "re,im,log_abs,arg,flag"
 
 
-@pytest.mark.parametrize("argv", [
-    ["oscillator", "--beta", "1500"],
-    ["scan", "--evaluator", "oscillator_closed", "--region", "1400", "1500", "0.1", "1",
-     "--cols", "4", "--rows", "4"],
-], ids=["oscillator", "scan"])
-def test_cli_closed_form_far_field_answers(capsys, argv):
-    # 1/(2 sinh(x/2)) overflowed in sinh for |Re x| > ~1420 (exit 2,
-    # "math range error"); it now underflows to 0, a zero on the scan
-    assert cli_dispatch(argv) == 0
-    out = capsys.readouterr().out
-    if argv[0] == "scan":
-        assert "flags: 0 pole, 12 zero" in out   # Re beta = 1400 is still representable
-    else:
-        assert "closed_form   0j" in out.replace("0+0j", "0j")
+@pytest.mark.parametrize("argv, want", [
+    (["oscillator", "--beta", "1500"], "closed_form   0+0j"),
+    (["scan", "--evaluator", "oscillator_closed", "--region", "1400", "1500", "0.1", "1",
+      "--cols", "4", "--rows", "4"], "flags: 0 pole, 4 zero"),    # Re beta = 1500: log|Z| = -750
+    (["qnm", "oneloop", "--spectrum", "TOWER"], "400    1            720633.498815+0j  inf+0j"),
+], ids=["oscillator", "scan", "qnm_oneloop"])
+def test_cli_closed_form_far_field_answers(tmp_path, capsys, argv, want):
+    # 1/(2 sinh(x/2)) overflowed in sinh for |Re x| > ~1420, and qnm oneloop
+    # exponentiated the 400-mode tower's finite log Z with cmath.exp: each
+    # exited 2 with "math range error".  Both now take result_from_log's
+    # value, 0 below EXP_UNDERFLOW (a zero on the scan) and inf past 709.78
+    tower = tmp_path / "tower.json"
+    tower.write_text(qnm_to_json(synthetic_affine_tower(1.0, 400)))
+    assert cli_dispatch([str(tower) if a == "TOWER" else a for a in argv]) == 0
+    assert want in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, evaluate", [

@@ -60,7 +60,7 @@ def test_default_term_counts():
 def test_direct_matches_closed_form(beta_e0, e0):
     beta = beta_e0 / e0
     r = partition_direct(oscillator(e0), beta, n_terms=200)
-    cf = closed_form_oscillator(beta, e0)
+    cf = closed_form_oscillator(beta, e0).value
     assert abs(r.value - cf) < 1e-12 * abs(cf)
 
 
@@ -104,7 +104,8 @@ def test_primon_divergence_names_abscissa():
 # --------------------------------------------------------------- closed form
 
 def test_closed_form_at_i_pi():
-    assert abs(closed_form_oscillator(complex(0.0, math.pi), 1.0) - complex(0.0, -0.5)) < 1e-14
+    got = closed_form_oscillator(complex(0.0, math.pi), 1.0).value
+    assert abs(got - complex(0.0, -0.5)) < 1e-14
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,7 +115,7 @@ def test_closed_form_agrees_with_mpmath(re, im):
     mpmath.mp.dps = 40
     x = complex(re, im)
     try:
-        got = closed_form_oscillator(x, 1.0)
+        got = closed_form_oscillator(x, 1.0).value
     except PoleError:
         return
     want = 1 / (2 * mpmath.sinh(mpmath.mpc(x) / 2))
@@ -131,15 +132,31 @@ def test_closed_form_near_the_poles_agrees_with_mpmath(k, log10_eps, phase):
     mpmath.mp.dps = 40
     x = complex(0.0, 2.0 * math.pi * k) + 10.0 ** log10_eps * cmath.exp(1j * phase)
     want = 1 / (2 * mpmath.sinh(mpmath.mpc(x) / 2))
-    assert abs(mpmath.mpc(closed_form_oscillator(x, 1.0)) - want) <= 1e-12 * abs(want)
+    assert abs(mpmath.mpc(closed_form_oscillator(x, 1.0).value) - want) <= 1e-12 * abs(want)
+
+
+def _assert_far_field_result(got, want_log):
+    """The closed forms' contract past the normal range: log_value within
+    1e-13 max(1, |log Z|) of mpmath's log Z (arg mod 2 pi), and value
+    exactly exp(log_value), subnormal or 0 (below EXP_UNDERFLOW) included."""
+    diff = complex(got.log_value) - complex(want_log)
+    tol = 1e-13 * max(1.0, abs(complex(want_log)))
+    assert abs(diff.real) <= tol, (got, want_log)
+    assert abs(math.remainder(diff.imag, 2.0 * math.pi)) <= tol, (got, want_log)
+    assert got.value == cmath.exp(got.log_value)
+    assert got.error_estimate == 0.0 and got.terms_used == 0
 
 
 @pytest.mark.parametrize("re", [1416.0, 1419.0, 1420.0, 1500.0, 1e5, 1e300])
 def test_closed_form_far_field_underflows_instead_of_raising(re):
-    # cmath.sinh overflowed once |Re x/2| > ~710
+    # cmath.sinh overflowed once |Re x/2| > ~710; the value is now exp of its
+    # log: subnormal to |Re x| ~ 1490, 0 past it
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
     for x in (complex(re, 0.5), complex(-re, -0.5)):
         got = closed_form_oscillator(x, 1.0)
-        assert got == 0 or abs(got) >= 2.2250738585072014e-308
+        _assert_far_field_result(got, -mpmath.log(2 * mpmath.sinh(mpmath.mpc(x) / 2)))
+        assert (got.value == 0) == (re > 1491.0)
 
 
 def test_closed_form_pole_signal_carries_index():
@@ -173,7 +190,7 @@ def test_closed_form_affine_agrees_with_mpmath(re, im, offset_fraction, gap):
     mpmath.mp.dps = 40
     beta, offset = complex(re, im) / gap, offset_fraction * gap
     try:
-        got = closed_form_affine(beta, offset, gap)
+        got = closed_form_affine(beta, offset, gap).value
     except PoleError:
         return
     want = _mp_affine(mpmath, beta, offset, gap)
@@ -182,13 +199,18 @@ def test_closed_form_affine_agrees_with_mpmath(re, im, offset_fraction, gap):
 
 @pytest.mark.parametrize("re", [1416.0, 1419.0, 1420.0, 1450.0, 1500.0, 1e5, 1e300])
 def test_closed_form_affine_far_field_flushes_below_the_normal_range(re):
-    # Re beta*gap = +-1450 gave a subnormal +-1.37e-315; the affine form now
-    # flushes to 0 below the normal range, as the oscillator closed form does
+    # no flush of its own any more: below the normal range the value is the
+    # subnormal exp(log_value) (Re beta*gap = +-1450 gives +-1.37e-315), and
+    # 0 only below EXP_UNDERFLOW, where the scan flags a zero
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
     for x in (complex(re, 0.5), complex(-re, -0.5)):
         got = closed_form_affine(x, 0.5, 1.0)
-        assert got == 0 or abs(got) >= 2.2250738585072014e-308
-        if re >= 1450.0:
-            assert got == 0
+        # e^(-x/2) / (1 - e^(-x)) = 1/(2 sinh(x/2)); mpmath's 1 - e^(-x) fails at x = 1e300
+        _assert_far_field_result(got, -mpmath.log(2 * mpmath.sinh(mpmath.mpc(x) / 2)))
+        assert (got.value == 0) == (re > 1491.0)
+        if re == 1450.0:
+            assert abs(abs(got.value) - 1.37e-315) < 0.01e-315
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -200,4 +222,4 @@ def test_closed_form_affine_near_the_poles_agrees_with_mpmath(k, log10_eps, phas
     mpmath.mp.dps = 40
     beta = (complex(0.0, 2.0 * math.pi * k) + 10.0 ** log10_eps * cmath.exp(1j * phase)) / gap
     want = _mp_affine(mpmath, beta, offset, gap)
-    assert abs(mpmath.mpc(closed_form_affine(beta, offset, gap)) - want) <= 1e-13 * abs(want)
+    assert abs(mpmath.mpc(closed_form_affine(beta, offset, gap).value) - want) <= 1e-13 * abs(want)
