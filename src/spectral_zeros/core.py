@@ -4,10 +4,11 @@ The result and signal types every route returns or raises, the
 pole-lattice mask, the Hurwitz zeta for integer s (the power sums of the
 oscillator's far-factor series; its s = 2 case, trigamma, gives the
 product kernels their tail terms) with its table of even Bernoulli
-numbers, which zeta.zeta_em reads too, and the principal-branch complex
-log-gamma on which the QNM gamma towers are built: scipy's loggamma behind
-a pole check, imported on the first call, so that a process which never
-needs log-gamma (every grid scan) never loads scipy.
+numbers, which zeta's Euler-Maclaurin tail reads too, and the
+principal-branch complex log-gamma of the QNM gamma towers and of
+Riemann-Siegel theta: scipy's loggamma behind a pole check, the
+library's one scipy import, made on the first call, so that a process
+which never needs log-gamma (every grid scan) never loads scipy.
 
 Every product and closed form is one array kernel over nodes whose only
 status signal is log Z = +inf at a pole, Re log Z = -inf at a zero; its
@@ -194,7 +195,7 @@ def _even_bernoulli() -> tuple[float, ...]:
     return tuple((-1) ** (k - 1) * 2 * k * t[k] / (4 ** k * (4 ** k - 1)) for k in range(1, n + 1))
 
 
-# the coefficients of hurwitz_zeta's and zeta.zeta_em's Euler-Maclaurin
+# the coefficients of hurwitz_zeta's and zeta._em_bracket's Euler-Maclaurin
 # series: data both routes read, while neither calls the other
 EVEN_BERNOULLI = _even_bernoulli()
 
@@ -253,21 +254,25 @@ def hurwitz_zeta(s: int, x: float) -> float:
     return math.fsum(parts)
 
 
-def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma(z), scipy.special.loggamma's.
+def log_gamma(z):
+    """Principal branch of log Gamma(z), scipy.special.loggamma's, of a
+    complex (giving a complex) or an array.
 
-    Raises PoleError when z is within 1e-12 of a non-positive integer.
-    scipy.special is imported here, not with the module: only the QNM
-    one-loop sum needs it, and the import costs ~0.3 s and ~25 MB.
+    Raises PoleError at the first z within 1e-12 of a non-positive integer.
+    scipy.special is imported here, on the first call, and nowhere else in
+    the library: only the QNM one-loop sum and Riemann-Siegel theta need
+    it, and the import costs ~0.3 s and ~25 MB.
     """
     from scipy.special import loggamma
 
-    z = complex(z)
-    n = round(z.real)
-    if n <= 0 and abs(z - n) < 1e-12:
-        raise PoleError(f"log_gamma pole at non-positive integer {n}",
-                        location=z, nearest=n)
-    return complex(loggamma(z))
+    z = np.asarray(z, dtype=complex)
+    n = np.round(z.real)
+    pole = (n <= 0) & (np.abs(z - n) < 1e-12)
+    if pole.any():
+        k = int(n[pole][0])
+        raise PoleError(f"log_gamma pole at non-positive integer {k}",
+                        location=complex(z[pole][0]), nearest=k)
+    return complex(loggamma(z)) if z.ndim == 0 else loggamma(z)
 
 
 # ln n is served from a table up to here (1 MiB): past every cutoff

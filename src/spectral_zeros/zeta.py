@@ -27,6 +27,9 @@ verifies, independently of theta: every ordinate must pass
 |zeta(1/2 + i gamma_k)| < 1e-8 by zeta_em, whose adaptive rule
 cutoff >= 2|Im s| + 50 keeps that honest.
 
+Z and zeta share their parts: _cosine_sums is the phase sum of both Z
+formulas, _em_bracket the Euler-Maclaurin tail of zeta_em and hardy_z_array.
+
 The series routes form n^-s as exp(-s ln n) with ln n read from a table
 (core.integer_powers, core.log_integers: 1 MiB at most, n <= 2^17, built
 on first use), not with one complex log per term as numpy's n ** (-s)
@@ -56,6 +59,7 @@ from .core import (
     ZeroHitSignal,
     hurwitz_zeta,
     integer_powers,
+    log_gamma,
     log_integers,
     node_chunks,
     result_from_log,
@@ -88,9 +92,6 @@ _BISECTIONS = 28
 # C_4 holds from here on; _rs_margin is validated up to _RS_T_MAX
 _RS_T_MIN = 200.0
 _RS_T_MAX = 6e4
-
-# hardy_z_array pads each node's head row to a multiple of this many terms
-_HARDY_PAD = 64
 
 
 def _rs_corrections() -> tuple[tuple[float, ...], ...]:
@@ -175,10 +176,11 @@ class ZetaZeroTable:
 def zeta_em(s: complex, cutoff: int = 100) -> EvaluationResult:
     """Euler-Maclaurin continuation of the Dirichlet series:
 
-        sum_{n<N} n^{-s} + N^{1-s}/(s-1) + N^{-s}/2
-          + sum_{k=1}^{q} B_{2k}/(2k)! * (s)(s+1)...(s+2k-2) * N^{-s-2k+1}
+        sum_{n<N} n^{-s} + N^{-s} [N/(s-1) + 1/2
+          + sum_{k=1}^{q} B_{2k}/(2k)! * (s)(s+1)...(s+2k-2) * N^{1-2k}]
 
-    with q = 6 corrections, their B_2k read from core.EVEN_BERNOULLI.
+    with q = 6 corrections; the bracket is _em_bracket's, and the tail is 0
+    where N^{-s} underflows.
     The head terms n^{-s} come from core.integer_powers, bit for bit
     numpy's n ** (-s): exp(-s ln n) over the cached ln n table (cutoff
     <= 2^17 + 1; larger cutoffs compute ln n per call), or numpy's own
@@ -201,24 +203,30 @@ def zeta_em(s: complex, cutoff: int = 100) -> EvaluationResult:
             "(need cutoff >= 2|Im s| + 50 and Re s >= -5)", AccuracyWarning,
             stacklevel=2)
 
-    total = complex(np.sum(integer_powers(s, 1, cutoff)))
-    total += cutoff ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * cutoff ** (-s)
+    head = complex(np.sum(integer_powers(s, 1, cutoff)))
+    n_s = cutoff ** (-s)
+    if n_s == 0:  # the bracket may have overflowed, and 0 * inf is NaN
+        return result_from_value(head, 0.0, cutoff + _EM_CORRECTIONS)
+    bracket, omitted = _em_bracket(s, cutoff)
+    return result_from_value(head + n_s * bracket, abs(n_s * omitted), cutoff + _EM_CORRECTIONS)
 
+
+def _em_bracket(s, cutoff):
+    """N/(s-1) + 1/2 + sum_{k<=q} B_2k/(2k)! (s)(s+1)...(s+2k-2) N^(1-2k),
+    q = _EM_CORRECTIONS, N = cutoff: the Euler-Maclaurin tail of zeta(s)
+    over N^-s, and its first omitted term; s and N are a Python complex
+    and an int or arrays."""
+    inv_n2 = 1.0 / (cutoff * cutoff)
+    bracket = cutoff / (s - 1.0) + 0.5
     rising = s                      # (s)(s+1)...(s+2k-2), grown incrementally
     fact = 2.0                      # (2k)!
-    npow = cutoff ** (-s - 1.0)     # N^{-s-2k+1}
+    npow = 1.0 / cutoff             # N^(1-2k)
     for k in range(1, _EM_CORRECTIONS + 1):
-        if npow == 0:
-            # every later term underflows too, while rising may have
-            # overflowed: 0 * inf would make the sum NaN
-            break
-        total += EVEN_BERNOULLI[k - 1] / fact * rising * npow
-        rising *= (s + (2 * k - 1)) * (s + 2 * k)
+        bracket += EVEN_BERNOULLI[k - 1] / fact * rising * npow
+        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
         fact *= (2 * k + 1) * (2 * k + 2)
-        npow /= cutoff * cutoff
-    omitted = 0.0 if npow == 0 else abs(EVEN_BERNOULLI[_EM_CORRECTIONS] / fact * rising * npow)
-    return result_from_value(total, omitted, cutoff + _EM_CORRECTIONS)
+        npow = npow * inv_n2
+    return bracket, EVEN_BERNOULLI[_EM_CORRECTIONS] / fact * rising * npow
 
 
 def zeta_em_array(s: np.ndarray, cutoff: int | None = None) -> np.ndarray:
@@ -391,14 +399,8 @@ def zeta_critical_line(t: float) -> complex:
 
 
 def riemann_siegel_theta(t):
-    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) ln pi, of a float or an array.
-
-    scipy.special is imported on the first call, not with the module, so
-    that only zero finding pays for it; a later import is a dict lookup.
-    """
-    from scipy.special import loggamma
-
-    return loggamma(0.25 + 0.5j * t).imag - 0.5 * t * LOG_PI
+    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) ln pi, of a float or an array."""
+    return log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * LOG_PI
 
 
 def hardy_z(t: float) -> float:
@@ -416,13 +418,9 @@ def hardy_z_array(t: np.ndarray) -> np.ndarray:
         sum_{n<N} n^{-1/2} cos(theta - t ln n)
           + Re[e^{i theta} (N^{1-s}/(s-1) + N^{-s}/2 + corrections)],
 
-    s = 1/2 + it: one real cosine per head term, ln n read from
-    core.log_integers, theta from one riemann_siegel_theta call.  Each
-    node's head row is padded with zero terms to a multiple of 64 and
-    summed with the nodes of the same padded width, in blocks of at most
-    CHUNK_ELEMENTS terms, every node x term temporary within
-    CHUNK_ELEMENTS; so a node's value does not depend on the other nodes
-    of the call.  Raises ValueError naming the first non-finite t.
+    s = 1/2 + it: the head is _cosine_sums, the tail _em_bracket's, so a
+    node's value does not depend on the other nodes of the call.  Raises
+    ValueError naming the first non-finite t.
 
     Rounding, eps = 2^-52, for |t| >= 2: theta is within
     eps (|theta| + |t| ln N) (twice its worst error against
@@ -445,15 +443,31 @@ def hardy_z_array(t: np.ndarray) -> np.ndarray:
         raise ValueError(f"Hardy's Z needs a finite t, got {t[bad][0]}")
     cutoff = np.maximum(100.0, np.ceil(2.0 * np.abs(t) + 50.0))
     n_cut = cutoff.astype(np.int64)
-    width = -(-(n_cut - 1) // _HARDY_PAD) * _HARDY_PAD
     theta = riemann_siegel_theta(t)
+    # rows of 2|t| + 49 terms: a pad of 64 keeps the width groups few
+    z = _cosine_sums(t, theta, n_cut - 1, 64)
+    # e^{i theta} N^-s = N^{-1/2} e^{i (theta - t ln N)}
+    bracket, _ = _em_bracket(0.5 + 1j * t, cutoff)
+    phase = theta - t * log_integers(1, int(n_cut.max(initial=1)) + 1)[n_cut - 1]
+    z += (np.cos(phase) * bracket.real - np.sin(phase) * bracket.imag) / np.sqrt(cutoff)
+    return z
+
+
+def _cosine_sums(t: np.ndarray, theta: np.ndarray, n_terms: np.ndarray, pad: int) -> np.ndarray:
+    """sum_{n <= n_terms} n^{-1/2} cos(theta - t ln n) per node, ln n from
+    core.log_integers.  Each row is padded with zero terms to a multiple of
+    pad and summed with the rows of the same padded width, in blocks of at
+    most CHUNK_ELEMENTS terms, every node x term temporary within
+    CHUNK_ELEMENTS; so a node's sum does not depend on the other nodes.  A
+    larger pad means fewer width groups and more zero terms."""
+    width = -(-n_terms // pad) * pad
     n_max = int(width.max(initial=0))
-    log_n = log_integers(1, n_max + 2)       # ln 1 .. ln(n_max + 1), and N <= n_max + 1
+    log_n = log_integers(1, n_max + 1)
     inv_sqrt_n = 1.0 / np.sqrt(np.arange(1.0, n_max + 1.0))
-    z = np.empty(t.shape)
+    sums = np.empty(t.shape)
     for w in sorted(set(width.tolist())):
         group = np.flatnonzero(width == w)
-        t_g, theta_g, cutoff_g = t[group], theta[group], cutoff[group]
+        t_g, theta_g, n_terms_g = t[group], theta[group], n_terms[group]
         head = np.zeros(group.size)
         for start in range(0, w, CHUNK_ELEMENTS):
             stop = min(w, start + CHUNK_ELEMENTS)
@@ -464,25 +478,10 @@ def hardy_z_array(t: np.ndarray) -> np.ndarray:
                 np.subtract(theta_g[sl, None], terms, out=terms)
                 np.cos(terms, out=terms)
                 terms *= inv_sqrt_n[start:stop]
-                terms[n >= cutoff_g[sl, None]] = 0.0
+                terms[n > n_terms_g[sl, None]] = 0.0
                 head[sl] += terms.sum(axis=1)
-        z[group] = head
-    # the tail is N^-s (N/(s-1) + 1/2 + sum_k B_2k/(2k)! (s)...(s+2k-2) N^(1-2k)),
-    # and e^{i theta} N^-s = N^{-1/2} e^{i (theta - t ln N)}
-    s = 0.5 + 1j * t
-    inv_n2 = 1.0 / (cutoff * cutoff)
-    bracket = cutoff / (s - 1.0) + 0.5
-    rising = s                      # (s)(s+1)...(s+2k-2), grown incrementally
-    fact = 2.0                      # (2k)!
-    npow = 1.0 / cutoff             # N^{1-2k}
-    for k in range(1, _EM_CORRECTIONS + 1):
-        bracket += EVEN_BERNOULLI[k - 1] / fact * rising * npow
-        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
-        fact *= (2 * k + 1) * (2 * k + 2)
-        npow = npow * inv_n2
-    phase = theta - t * log_n[n_cut - 1]
-    z += (np.cos(phase) * bracket.real - np.sin(phase) * bracket.imag) / np.sqrt(cutoff)
-    return z
+        sums[group] = head
+    return sums
 
 
 def riemann_siegel_z(t: np.ndarray) -> np.ndarray:
@@ -494,28 +493,16 @@ def riemann_siegel_z(t: np.ndarray) -> np.ndarray:
     a = sqrt(t/2pi), N = floor(a), p = a - N (Edwards, Riemann's Zeta
     Function, ch. 7).  From t = 200 on, Gabcke's 0.017 t^(-11/4) bounds the
     omitted remainder; _rs_margin adds the float rounding.  The C_k are
-    _rs_corrections' polynomials in p - 1/2, by Horner's rule; ln n comes
-    from core.log_integers.
+    _rs_corrections' polynomials in p - 1/2, by Horner's rule; the main sum
+    is _cosine_sums, so a node's value does not depend on the other nodes.
     """
     t = np.asarray(t, dtype=np.float64)
     a = np.sqrt(t / TWO_PI)
     n_main = np.floor(a)
     x = a - n_main - 0.5
     x2 = x * x
-    theta = riemann_siegel_theta(t)
-    width = int(n_main.max(initial=0.0))
-    n = np.arange(1.0, width + 1.0)
-    log_n = log_integers(1, width + 1)
-    inv_sqrt_n = 1.0 / np.sqrt(n)
-    z = np.empty(t.shape)
-    for sl in node_chunks(t.size, width):
-        # one node x term temporary: the phases, then the terms in place
-        terms = t[sl, None] * log_n
-        np.subtract(theta[sl, None], terms, out=terms)
-        np.cos(terms, out=terms)
-        terms *= inv_sqrt_n
-        terms[n > n_main[sl, None]] = 0.0
-        z[sl] = 2.0 * terms.sum(axis=1)
+    # a pad of 8, not 64: rows are at most 97 terms (t <= 6e4), mostly under 16
+    z = 2.0 * _cosine_sums(t, riemann_siegel_theta(t), n_main.astype(np.int64), 8)
     corrections = 0.0
     for k in reversed(range(len(_RS_CORRECTIONS))):
         c_k = 0.0
@@ -528,10 +515,12 @@ def riemann_siegel_z(t: np.ndarray) -> np.ndarray:
 def _rs_margin(t: np.ndarray) -> np.ndarray:
     """Bound on |riemann_siegel_z(t) - hardy_z(t)| for t >= 200: Gabcke's
     remainder bound plus 1e-14 t ln t for the rounding of the phases
-    theta - t ln n in both.  Against mpmath.siegelz on 400 uniform points
-    of [200, 6e4], that rounding was at most 1.5e-15 t ln t in
-    riemann_siegel_z (at t = 11575.5, where |riemann_siegel_z - Z| reached
-    0.45 of this margin) and 6.5e-16 t ln t in hardy_z."""
+    theta - t ln n in both, a sampled constant.  Against mpmath.siegelz
+    (dps 30) at 400 uniform t in [200, 6e4] (default_rng(5)),
+    |riemann_siegel_z - Z| was at most 0.45 of this margin, at t = 541.6,
+    where Gabcke's term dominates.  Past t = 2000 the rounding was at most
+    1.5e-15 t ln t in riemann_siegel_z (0.15 of its term, at t = 11575.5)
+    and 6.5e-16 t ln t in hardy_z."""
     return 0.017 * t ** -2.75 + 1e-14 * t * np.log(t)
 
 

@@ -357,7 +357,8 @@ _ZEROS_SIDE = {**_functions(product_forms), **_functions(zeta, ("hadamard_produc
                **_functions(qnm, ("conjectured_partition_log",)),
                **_functions(core, ("hurwitz_zeta",))}
 _SPECTRUM_SIDE = {**_functions(spectra, ("closed_form_", "partition_direct")),
-                  **_functions(zeta, ("zeta_em", "hardy_z")),
+                  **_functions(zeta, ("zeta_em", "hardy_z", "_cosine_sums", "_em_bracket",
+                                      "riemann_siegel_z")),
                   **_functions(core, ("log_integers", "integer_powers"))}
 
 
@@ -369,6 +370,7 @@ def test_routes_share_no_evaluation_code(side, other):
     # evaluators: no closed form or level sum inside a product, and back
     assert {"pole_product_oscillator", "_far_series", "hurwitz_zeta"} <= _ZEROS_SIDE.keys()
     assert {"closed_form_oscillator", "zeta_em", "zeta_em_array", "hardy_z", "hardy_z_array",
-            "log_integers", "integer_powers"} <= _SPECTRUM_SIDE.keys()
+            "_cosine_sums", "_em_bracket", "riemann_siegel_z", "log_integers",
+            "integer_powers"} <= _SPECTRUM_SIDE.keys()
     for name, fn in side.items():
         assert not _names(fn.__code__) & other.keys(), name

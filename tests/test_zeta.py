@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 import time
@@ -54,6 +55,17 @@ def test_zeta_em_at_two_against_sum_plus_tail_oracle():
     r = zeta_em(2.0)
     assert abs(r.value - oracle) < 1e-9
     assert abs(r.value - math.pi ** 2 / 6.0) < 1e-10
+
+
+def test_only_em_bracket_reads_the_bernoulli_table():
+    # zeta_em and hardy_z_array take their Euler-Maclaurin tail from
+    # _em_bracket: a second reader of EVEN_BERNOULLI in zeta.py would be a
+    # second copy of the corrections
+    tree = ast.parse(Path(zeta.__file__).read_text())
+    readers = {getattr(node, "name", type(node).__name__) for node in tree.body
+               if any(isinstance(n, ast.Name) and n.id == "EVEN_BERNOULLI"
+                      for n in ast.walk(node))}
+    assert readers == {"_em_bracket"}
 
 
 def test_zeta_em_at_zero():
@@ -415,6 +427,17 @@ def test_riemann_siegel_z_matches_mpmath_within_the_margin():
     assert np.all(np.abs(riemann_siegel_z(t) - oracle) < zeta._rs_margin(t))
 
 
+def test_riemann_siegel_decides_no_sign_below_200(monkeypatch):
+    # Gabcke's remainder bound, the first term of _rs_margin, holds from
+    # t = 200 on; below it every sign is hardy_z's
+    seen = []
+    monkeypatch.setattr(zeta, "riemann_siegel_z",
+                        lambda t: seen.append(t.copy()) or riemann_siegel_z(t))
+    find_zeros(100)
+    seen = np.concatenate(seen)
+    assert seen.size and seen.min() >= 200.0
+
+
 def test_riemann_siegel_theta_is_one_formula_for_floats_and_arrays():
     t = np.array([0.5, 14.1, 200.0, 1329.1, 1e6])
     assert riemann_siegel_theta(t).tolist() == [riemann_siegel_theta(x) for x in t.tolist()]
@@ -484,14 +507,23 @@ _HARDY_NODES = st.one_of(
     st.floats(200.0, 6e4))
 
 
+def _riemann_siegel_one_node(t):
+    return float(riemann_siegel_z(np.array([t]))[0])
+
+
+# both sum their phases in _cosine_sums, rows padded per node (64 and 8 terms)
+@pytest.mark.parametrize("evaluate, one_node, nodes", [
+    (hardy_z_array, hardy_z, _HARDY_NODES),
+    (riemann_siegel_z, _riemann_siegel_one_node, st.floats(200.0, 6e4))],
+    ids=["hardy_z_array", "riemann_siegel_z"])
 @settings(max_examples=40, deadline=None)
-@given(t=st.lists(_HARDY_NODES, min_size=1, max_size=8), data=st.data())
-def test_hardy_z_array_node_is_its_one_node_call(t, data):
-    t = np.array(t)
-    z = hardy_z_array(t)
-    assert z.tolist() == [hardy_z(x) for x in t.tolist()]
+@given(data=st.data())
+def test_hardy_z_node_is_its_one_node_call(evaluate, one_node, nodes, data):
+    t = np.array(data.draw(st.lists(nodes, min_size=1, max_size=8)))
+    z = evaluate(t)
+    assert z.tolist() == [one_node(x) for x in t.tolist()]
     order = np.array(data.draw(st.permutations(range(t.size))))
-    assert hardy_z_array(np.concatenate([t[order], t])).tolist() == z[order].tolist() + z.tolist()
+    assert evaluate(np.concatenate([t[order], t])).tolist() == z[order].tolist() + z.tolist()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
