@@ -60,6 +60,7 @@ from .zeta import (
 # exp() is representable between roughly exp(-745) and exp(709); the
 # clamp keeps flagged nodes loadable by naive CSV parsers
 LOG_CLAMP = 745.0
+_COMPARE_PRIME_LIMIT = 100000   # zeta compare's Euler product is over p <= this
 
 Region = tuple[float, float, float, float]
 Resolution = tuple[int, int]
@@ -134,10 +135,8 @@ def _oscillator_product(e0=1.0, n_factors=1000):
     return lambda z: pole_product_oscillator_array(z, e0, n_factors)[0]
 
 
-def _zeta_em(cutoff=None):
-    # None is adaptive: it keeps the truncation window valid over any region
-    cutoff = None if cutoff is None else int(cutoff)
-    return lambda z: zeta_em_array(z, cutoff)
+def _zeta_em():
+    return lambda z: zeta_em_array(z)
 
 
 def _zero_table(zeros, zero_count):
@@ -394,7 +393,7 @@ def _emit_scan(scan: GridScan, args) -> None:
 def _cmd_oscillator(args) -> int:
     beta = complex(args.beta, args.beta_im)
     spec = oscillator(args.e0)
-    direct = partition_direct(spec, beta, n_terms=args.terms)
+    direct = partition_direct(spec, beta)
     closed = closed_form_oscillator(beta, args.e0)
     product = pole_product_oscillator(beta, args.e0, n_factors=args.factors)
     rows = [
@@ -409,8 +408,8 @@ def _cmd_oscillator(args) -> int:
 
 def _cmd_zeta_compare(args) -> int:
     s = complex(args.re, args.im)
-    em = zeta_em(s, cutoff=args.cutoff)
-    euler = euler_product(s, args.prime_limit)
+    em = zeta_em(s)
+    euler = euler_product(s, _COMPARE_PRIME_LIMIT)
     had = hadamard_product(s, *_zero_table(args.zeros, args.zero_count))
     rows = [
         ["euler_maclaurin", em.value, 0.0, em.error_estimate],
@@ -458,7 +457,7 @@ def _cmd_qnm_fit(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    params = {k: v for k in ("e0", "n_factors", "cutoff", "zero_count", "zeros", "spectrum")
+    params = {k: v for k in ("e0", "n_factors", "zero_count", "zeros", "spectrum")
               if (v := getattr(args, k)) is not None}
     scan = grid_scan(args.evaluator, tuple(args.region), (args.cols, args.rows),
                      params=params)
@@ -501,7 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
     osc.add_argument("--beta", type=float, default=1.0)
     osc.add_argument("--beta-im", type=float, default=0.0)
     osc.add_argument("--e0", type=float, default=1.0)
-    osc.add_argument("--terms", type=int, default=1000)
     osc.add_argument("--factors", type=int, default=100000)
     _table_out_args(osc)
     osc.set_defaults(func=_cmd_oscillator)
@@ -513,8 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="Euler-Maclaurin vs Euler product vs Hadamard product")
     zc.add_argument("--re", type=float, default=2.0)
     zc.add_argument("--im", type=float, default=0.0)
-    zc.add_argument("--cutoff", type=int, default=200)
-    zc.add_argument("--prime-limit", type=int, default=100000)
     _zeros_args(zc)
     _table_out_args(zc)
     zc.set_defaults(func=_cmd_zeta_compare)
@@ -555,7 +551,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--format", choices=["csv", "json", "pgm"], default="csv")
     sc.add_argument("--e0", type=float, default=None)
     sc.add_argument("--n-factors", type=int, default=None)
-    sc.add_argument("--cutoff", type=int, default=None)
     _zeros_args(sc)
     sc.add_argument("--spectrum", default=None)
     sc.set_defaults(func=_cmd_scan)

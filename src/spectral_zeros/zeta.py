@@ -22,13 +22,12 @@ bisection: the Riemann-Siegel formula (riemann_siegel_z, ~sqrt(t/2pi)
 terms) wherever its error bound certifies the sign, and one call of
 hardy_z_array, the Euler-Maclaurin Z as an array kernel, on every other
 node.  hardy_z is a one-node call of that kernel, so each sign, and with
-it the table, is the one hardy_z alone would give.  Euler-Maclaurin also
-verifies, independently of theta: every ordinate must pass
-|zeta(1/2 + i gamma_k)| < 1e-8 by zeta_em, whose adaptive rule
-cutoff >= 2|Im s| + 50 keeps that honest.
+it the table, is the one hardy_z alone would give.  zeta_em verifies,
+independently of theta, that every |zeta(1/2 + i gamma_k)| < 1e-8.
 
 Z and zeta share their parts: _cosine_sums is the phase sum of both Z
-formulas, _em_bracket the Euler-Maclaurin tail of zeta_em and hardy_z_array.
+formulas; _em_bracket and _adaptive_cutoff give zeta_em and hardy_z_array
+one Euler-Maclaurin tail and one cutoff, worked out from Im s.
 
 The series routes form n^-s as exp(-s ln n) with ln n read from a table
 (core.integer_powers, core.log_integers: 1 MiB at most, n <= 2^17, built
@@ -173,34 +172,48 @@ class ZetaZeroTable:
         return len(self.ordinates)
 
 
-def zeta_em(s: complex, cutoff: int = 100) -> EvaluationResult:
+# zeta_em warns left of Re s = -1, where head terms up to N^(1 - Re s) cancel:
+# against mpmath its worst relative error was 1.9e-11 on [-1, -0.5] (to
+# |Im s| = 1000: 1.3e-11), 3.1e-9 on [-2, -1] and 2.7e-3 on [-5, -4]
+_EM_RE_MIN = -1.0
+
+
+def _adaptive_cutoff(t):
+    """Euler-Maclaurin cutoff N = max(100, ceil(2|t| + 50)) at Im s = t (a
+    float or an array, as floats), the rule of zeta_em and hardy_z_array."""
+    return np.maximum(100.0, np.ceil(2.0 * np.abs(t) + 50.0))
+
+
+def zeta_em(s: complex, cutoff: int | None = None) -> EvaluationResult:
     """Euler-Maclaurin continuation of the Dirichlet series:
 
         sum_{n<N} n^{-s} + N^{-s} [N/(s-1) + 1/2
           + sum_{k=1}^{q} B_{2k}/(2k)! * (s)(s+1)...(s+2k-2) * N^{1-2k}]
 
-    with q = 6 corrections; the bracket is _em_bracket's, and the tail is 0
-    where N^{-s} underflows.
+    with N = cutoff (default _adaptive_cutoff(Im s)), q = 6 corrections;
+    the bracket is _em_bracket's, and the tail is 0 where N^{-s} underflows.
     The head terms n^{-s} come from core.integer_powers, bit for bit
-    numpy's n ** (-s): exp(-s ln n) over the cached ln n table (cutoff
+    numpy's n ** (-s): exp(-s ln n) over the cached ln n table (N
     <= 2^17 + 1; larger cutoffs compute ln n per call), or numpy's own
     power for a real integer s with |s| < 100, where it multiplies.
-    Ten-significant-digit accuracy holds for |Im s| <= (cutoff-50)/2 and
-    Re s >= -5; outside that an AccuracyWarning is emitted but the value
-    is still returned.  error_estimate is the first omitted correction
-    (truncation only: left of Re s = 0 the partial sum grows like
-    cutoff^{1-Re s} before cancelling, so a MODEST cutoff is more
-    accurate there, not less).
+    In the validated window, Re s >= -1 and |Im s| <= (N - 50)/2, the value
+    is within 1e-10 max(1, |zeta(s)|) of mpmath (tested on [-1, 6] x
+    [-200, 200]); outside it an AccuracyWarning is emitted, and the value
+    returned.  error_estimate is the first omitted correction (truncation
+    only: left of Re s = 0 the partial sum grows like N^{1-Re s} before
+    cancelling, so a MODEST cutoff is more accurate there, not less).
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-12:
         raise PoleError("zeta has its simple pole at s=1", location=s, nearest=1)
-    if cutoff < 10:
+    if cutoff is None:
+        cutoff = int(_adaptive_cutoff(s.imag))
+    elif cutoff < 10:
         raise ValueError(f"cutoff must be >= 10, got {cutoff}")
-    if abs(s.imag) > (cutoff - 50) / 2.0 or s.real < -5.0:
+    if abs(s.imag) > (cutoff - 50) / 2.0 or s.real < _EM_RE_MIN:
         warnings.warn(
             f"s={s} outside the validated window for cutoff={cutoff} "
-            "(need cutoff >= 2|Im s| + 50 and Re s >= -5)", AccuracyWarning,
+            f"(need cutoff >= 2|Im s| + 50 and Re s >= {_EM_RE_MIN:g})", AccuracyWarning,
             stacklevel=2)
 
     head = complex(np.sum(integer_powers(s, 1, cutoff)))
@@ -229,11 +242,11 @@ def _em_bracket(s, cutoff):
     return bracket, EVEN_BERNOULLI[_EM_CORRECTIONS] / fact * rising * npow
 
 
-def zeta_em_array(s: np.ndarray, cutoff: int | None = None) -> np.ndarray:
-    """zeta_em for grid scans: log zeta per point of
-    a complex array, from one scalar call per point; ``cutoff=None`` takes
-    the adaptive cutoff of each point's Im s.  log zeta is +inf at the pole
-    1, and Re log zeta is -inf where the sum is exactly 0.
+def zeta_em_array(s: np.ndarray) -> np.ndarray:
+    """zeta_em for grid scans: log zeta per point of a complex array, from
+    one scalar call per point, each at the cutoff derived from its Im s.
+    log zeta is +inf at the pole 1, and Re log zeta is -inf where the sum
+    is exactly 0.
 
     There is no array kernel: left of the critical strip the value is
     what survives the cancellation of terms as large as
@@ -242,7 +255,7 @@ def zeta_em_array(s: np.ndarray, cutoff: int | None = None) -> np.ndarray:
     log_z = np.zeros(s.shape, dtype=complex)
     for i, x in enumerate(s.tolist()):
         try:
-            log_z[i] = zeta_em(x, _adaptive_cutoff(x.imag) if cutoff is None else cutoff).log_value
+            log_z[i] = zeta_em(x).log_value
         except PoleError:
             log_z[i] = math.inf
     return log_z
@@ -389,15 +402,6 @@ def hadamard_product_array(beta: np.ndarray, zeros: ZetaZeroTable, zero_count: i
     return log_z, error, np.full(beta.shape, zero_count + _GAMMA_FACTOR_TERMS)
 
 
-def _adaptive_cutoff(t: float) -> int:
-    return max(100, int(math.ceil(2.0 * abs(t) + 50.0)))
-
-
-def zeta_critical_line(t: float) -> complex:
-    """zeta(1/2 + it) through the Euler-Maclaurin route, window auto-sized."""
-    return zeta_em(complex(0.5, t), cutoff=_adaptive_cutoff(t)).value
-
-
 def riemann_siegel_theta(t):
     """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) ln pi, of a float or an array."""
     return log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * LOG_PI
@@ -412,7 +416,7 @@ def hardy_z(t: float) -> float:
 
 def hardy_z_array(t: np.ndarray) -> np.ndarray:
     """Hardy's Z on a 1-D array of finite t by zeta_em's Euler-Maclaurin sum,
-    cutoff N = max(100, ceil(2|t| + 50)) per node and the same six
+    its cutoff N = _adaptive_cutoff(t) per node and the same six
     corrections, rotated by e^{i theta} term by term:
 
         sum_{n<N} n^{-1/2} cos(theta - t ln n)
@@ -441,7 +445,7 @@ def hardy_z_array(t: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(t)
     if bad.any():
         raise ValueError(f"Hardy's Z needs a finite t, got {t[bad][0]}")
-    cutoff = np.maximum(100.0, np.ceil(2.0 * np.abs(t) + 50.0))
+    cutoff = _adaptive_cutoff(t)
     n_cut = cutoff.astype(np.int64)
     theta = riemann_siegel_theta(t)
     # rows of 2|t| + 49 terms: a pad of 64 keeps the width groups few
@@ -550,7 +554,7 @@ def _estimated_window(count: int) -> float:
 def _verification_failure(ordinates, tol: float) -> str | None:
     """What fails first of |zeta(1/2 + i gamma)| < tol, None if nothing does."""
     for gamma in ordinates:
-        if not (resid := abs(zeta_critical_line(gamma))) < tol:
+        if not (resid := abs(zeta_em(complex(0.5, gamma)).value)) < tol:
             return f"ordinate {gamma} fails verification: |zeta| = {resid}"
     return None
 
@@ -592,7 +596,7 @@ def find_zeros(count: int) -> ZetaZeroTable:
     # each bracket's lo keeps its end's sign and an exact zero at mid becomes hi
     cells = events[~on_node[events]]
     lo, lo_negative = t[cells], negative[cells]
-    hi = lo + _SCAN_STEP
+    hi = t[cells + 1]
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         z = _hardy_sign(mid)

@@ -28,6 +28,7 @@ from spectral_zeros.core import (
     PoleHitSignal,
     ZeroFactorSignal,
     ZeroHitSignal,
+    result_from_value,
 )
 from spectral_zeros.product_forms import pole_product_oscillator
 from spectral_zeros.qnm import (
@@ -50,7 +51,6 @@ from spectral_zeros.scan_cli import (
 from spectral_zeros.spectra import closed_form_oscillator
 from spectral_zeros.zeta import (
     ZetaZeroTable,
-    _adaptive_cutoff,
     find_zeros,
     hadamard_product,
     zeta_em,
@@ -217,6 +217,12 @@ def test_unknown_evaluator_and_leftover_params():
         make_evaluator("qnm_conjectured")
 
 
+def test_zeta_em_scan_takes_no_cutoff():
+    # the cutoff is derived from each node's Im s, never chosen
+    with pytest.raises(ValueError, match=r"unexpected parameters for zeta_em: \['cutoff'\]"):
+        make_evaluator("zeta_em", cutoff=60)
+
+
 def test_rejected_parameters_cost_no_setup(monkeypatch):
     def spy_find_zeros(*args, **kwargs):
         raise AssertionError("find_zeros ran before the parameters were checked")
@@ -252,7 +258,7 @@ def test_a_zero_count_below_1_finds_no_zeros(monkeypatch, capsys, zero_count):
     # the oscillator closed form is the affine kernel at offset E0/2, gap E0
     ("oscillator_closed", "closed_form_affine", {"e0": 2.0}),
     ("oscillator_product", "pole_product_oscillator", {"n_factors": 10}),
-    ("zeta_em", "zeta_em", {"cutoff": 60}),
+    ("zeta_em", "zeta_em", {}),
     ("zeta_hadamard", "hadamard_product", {"zero_count": 3}),
     ("qnm_conjectured", "conjectured_partition_log",
      {"spectrum": QNMSpectrum(modes=(1.0 - 1j,), temperature=1.0)}),
@@ -289,7 +295,7 @@ _TWO_ZEROS = ZetaZeroTable((_GAMMA_1, 21.022039638771555))
     ("oscillator_product", {"e0": TWO_PI}, 1j, math.inf, "pole"),
     ("oscillator_product", {"e0": TWO_PI}, 240.0 + 0j, -754.52, "zero"),    # finite, exp gives 0
     ("zeta_em", {}, 1.0 + 0j, math.inf, "pole"),
-    ("zeta_em", {"cutoff": 60}, -2.0 + 0j, -math.inf, "zero"),              # the sum is exactly 0
+    ("zeta_em", {}, -2.0 + 0j, -math.inf, "zero"),                         # the sum is exactly 0
     ("zeta_hadamard", {"zeros": _TWO_ZEROS}, 1.0 + 0j, math.inf, "pole"),
     ("zeta_hadamard", {"zeros": _TWO_ZEROS}, complex(0.5, _GAMMA_1), -math.inf, "zero"),
     ("zeta_hadamard", {"zeros": _TWO_ZEROS}, -2.0 + 0j, -math.inf, "zero"),  # trivial zero
@@ -498,21 +504,17 @@ def test_closed_form_and_pole_product_flag_the_same_nodes(region, resolution, e0
 # against the scalar route
 
 @settings(max_examples=40, deadline=None)
-@given(grid=_dyadic_grid(32.0), cutoff=st.sampled_from([None, 60]))
-@example(grid=((-8.0, -4.0, -16.0, 16.0), (5, 5)), cutoff=None)      # Re s < -5
-@example(grid=((-8.0, -4.0, -16.0, 16.0), (5, 5)), cutoff=60)
-@example(grid=((0.0, 2.0, -1.0, 1.0), (5, 3)), cutoff=None)          # the pole at 1
-@example(grid=((512.0, 2048.0, -4.0, 4.0), (4, 3)), cutoff=None)     # n^-s underflows
-@example(grid=((-64.0, -32.0, -8.0, 8.0), (3, 3)), cutoff=60)        # log|zeta| ~ 240
-def test_zeta_em_scan_matches_scalar(grid, cutoff):
+@given(grid=_dyadic_grid(32.0))
+@example(grid=((-8.0, -4.0, -16.0, 16.0), (5, 5)))      # Re s < -1
+@example(grid=((0.0, 2.0, -1.0, 1.0), (5, 3)))          # the pole at 1
+@example(grid=((512.0, 2048.0, -4.0, 4.0), (4, 3)))     # n^-s underflows
+@example(grid=((-64.0, -32.0, -8.0, 8.0), (3, 3)))      # log|zeta| ~ 240
+def test_zeta_em_scan_matches_scalar(grid):
     # zeta_em neither underflows nor overflows before its cutoff power
     # does, which raises OverflowError (test_zeta_em_scan_overflow_raises)
-    params = {} if cutoff is None else {"cutoff": cutoff}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _assert_scan_matches_scalar(
-            "zeta_em", *grid, params,
-            lambda z: zeta_em(z, cutoff=cutoff if cutoff else _adaptive_cutoff(z.imag)))
+        _assert_scan_matches_scalar("zeta_em", *grid, {}, zeta_em)
 
 
 def test_zeta_em_scan_overflow_raises():
@@ -522,7 +524,7 @@ def test_zeta_em_scan_overflow_raises():
         with pytest.raises(OverflowError):
             zeta_em(complex(-256.0, -1.0))
         with pytest.raises(OverflowError):
-            grid_scan("zeta_em", region, (3, 3), {"cutoff": 100})
+            grid_scan("zeta_em", region, (3, 3))
 
 
 _ZEROS = find_zeros(100)
@@ -1153,8 +1155,8 @@ def test_cli_numerical_failure_exits_2(monkeypatch, capsys):
 
 def test_cli_zeros_failing_verification_exits_2(monkeypatch, capsys):
     # find_zeros itself raises: |zeta| at every located ordinate is >= 1e-6
-    critical_line = zeta.zeta_critical_line
-    monkeypatch.setattr(zeta, "zeta_critical_line", lambda t: critical_line(t) + 1e-6)
+    em = zeta.zeta_em
+    monkeypatch.setattr(zeta, "zeta_em", lambda s: result_from_value(em(s).value + 1e-6))
     with pytest.raises(ArithmeticError, match="fails verification"):
         find_zeros(3)
     assert cli_dispatch(["zeta", "zeros", "--count", "3"]) == 2
@@ -1222,6 +1224,29 @@ def test_error_estimates_survive_an_underflowing_value(capsys, argv, evaluate):
         assert "nan" not in capsys.readouterr().out
     r = evaluate()
     assert r.value == 0 and r.error_estimate == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["oscillator", "--terms", "10"],
+    ["zeta", "compare", "--cutoff", "200"],
+    ["zeta", "compare", "--prime-limit", "1000"],
+    ["scan", "--evaluator", "zeta_em", "--region", "0", "1", "0", "1", "--cutoff", "60"],
+], ids=["oscillator_terms", "compare_cutoff", "compare_prime_limit", "scan_cutoff"])
+def test_cli_removed_truncation_flags_exit_1(capsys, argv):
+    # truncations the code works out, or fixes, are not options
+    assert cli_dispatch(argv) == 1
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+def test_cli_zeta_compare_cutoff_follows_im(capsys):
+    # a fixed cutoff of 200 would leave Im s = 100 outside zeta_em's window
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_dispatch(["zeta", "compare", "--re", "2", "--im", "100",
+                             "--zero-count", "0"]) == 0
+    em = next(line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("euler_maclaurin"))
+    assert em.split()[1] == format(zeta_em(complex(2.0, 100.0)).value, ".12g")
 
 
 def test_cli_zeta_compare_far_right_exits_0(capsys):

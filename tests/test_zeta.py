@@ -21,6 +21,7 @@ from spectral_zeros.core import (
     ZeroHitSignal,
     integer_powers,
     log_gamma,
+    result_from_value,
 )
 from spectral_zeros.spectra import partition_direct, primon
 from spectral_zeros.zeta import (
@@ -39,7 +40,6 @@ from spectral_zeros.zeta import (
     psi_direct,
     riemann_siegel_theta,
     riemann_siegel_z,
-    zeta_critical_line,
     zeta_em,
 )
 
@@ -73,7 +73,9 @@ def test_zeta_em_at_zero():
 
 
 def test_zeta_em_trivial_zero():
-    assert abs(zeta_em(-2.0).value) < 1e-10
+    # right to 1e-10, but left of the validated window Re s >= -1
+    with pytest.warns(AccuracyWarning):
+        assert abs(zeta_em(-2.0).value) < 1e-10
 
 
 def test_zeta_em_pole_at_one():
@@ -94,6 +96,57 @@ def test_zeta_em_warns_outside_validated_window():
         zeta_em(complex(0.5, 60.0), cutoff=100)
     with pytest.warns(AccuracyWarning):
         zeta_em(-6.0)
+
+
+@pytest.mark.parametrize("s", [complex(-1.5, 5.0), -4.0])
+def test_zeta_em_warns_left_of_re_minus_one(s):
+    # head terms up to N^(1 - Re s) cancel: zeta(-4) = 0 comes out -2.4e-7
+    with pytest.warns(AccuracyWarning, match=r"Re s >= -1"):
+        zeta_em(s)
+
+
+def _zeta_mpmath(s):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+
+
+def test_zeta_em_matches_mpmath_in_its_window():
+    # the accuracy the zeta_em docstring states, on Re s in [-1, 6], |Im s| <= 200
+    rng = np.random.default_rng(12)
+    points = rng.uniform(-1.0, 6.0, 150) + 1j * rng.uniform(-200.0, 200.0, 150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in points.tolist():
+            want = _zeta_mpmath(s)
+            assert abs(zeta_em(s).value - want) <= 1e-10 * max(1.0, abs(want)), s
+
+
+def test_zeta_em_default_cutoff_is_derived_from_im_s():
+    # |Im s| > 25 needs a cutoff above 100: with 100 each of these warns,
+    # and the worst relative error is 3.6e-8
+    rng = np.random.default_rng(3)
+    points = rng.uniform(0.5, 3.0, 200) + 1j * rng.uniform(25.0, 200.0, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in points.tolist():
+            want = _zeta_mpmath(s)
+            assert abs(zeta_em(s).value - want) <= 1e-10 * abs(want), s
+
+
+def test_one_cutoff_rule_for_zeta_em_its_scans_and_hardy_z(monkeypatch):
+    # a changed rule reaches all three: none keeps a copy of it
+    rule = zeta._adaptive_cutoff
+    monkeypatch.setattr(zeta, "_adaptive_cutoff", lambda t: rule(t) + 64.0)
+    s = complex(0.5, 30.0)
+    shifted = zeta_em(s, cutoff=174)
+    assert zeta_em(s) == shifted
+    assert zeta.zeta_em_array(np.array([s]))[0] == shifted.log_value
+    z = hardy_z_array(np.array([30.0]))[0]
+    monkeypatch.setattr(zeta, "_adaptive_cutoff", rule)
+    unshifted = hardy_z_array(np.array([30.0]))[0]
+    assert z != unshifted and abs(z - unshifted) < 1e-12
+    assert zeta_em(s) != shifted
 
 
 @pytest.mark.parametrize("s", [1e30, 1e40, 1e150, complex(1e300, 3.0)])
@@ -261,16 +314,16 @@ def test_find_zeros_first_ordinate_against_independent_bisection():
     lo, hi = 14.0, 15.0
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    fa, fb = abs(zeta_critical_line(a)), abs(zeta_critical_line(b))
+    fa, fb = abs(zeta_em(complex(0.5, a)).value), abs(zeta_em(complex(0.5, b)).value)
     while hi - lo > 1e-9:
         if fa < fb:
             hi, b, fb = b, a, fa
             a = hi - invphi * (hi - lo)
-            fa = abs(zeta_critical_line(a))
+            fa = abs(zeta_em(complex(0.5, a)).value)
         else:
             lo, a, fa = a, b, fb
             b = lo + invphi * (hi - lo)
-            fb = abs(zeta_critical_line(b))
+            fb = abs(zeta_em(complex(0.5, b)).value)
     gamma1_oracle = 0.5 * (lo + hi)
     table = find_zeros(1)
     assert abs(table.ordinates[0] - gamma1_oracle) < 1e-6
@@ -281,7 +334,7 @@ def test_find_zeros_ten_ascending_and_verified(zeros100):
     assert len(ords) == 10
     assert all(b > a for a, b in zip(ords, ords[1:]))
     for gamma in ords:
-        assert abs(zeta_critical_line(gamma)) < 1e-8
+        assert abs(zeta_em(complex(0.5, gamma)).value) < 1e-8
 
 
 def test_find_zeros_deterministic():
@@ -314,7 +367,7 @@ def test_find_zeros_reports_a_zero_on_a_scan_node_once(monkeypatch, sign):
     # zeros at 15.0, which is the scan node 2 + 52 * 0.25, and at 16.1,
     # between nodes; sign picks the side the scan runs into the node from
     monkeypatch.setattr(zeta, "hardy_z_array", lambda t: sign * (15.0 - t) * (t - 16.1))
-    monkeypatch.setattr(zeta, "zeta_critical_line", lambda t: 0j)
+    monkeypatch.setattr(zeta, "zeta_em", lambda s: result_from_value(0j))
     table = find_zeros(2)
     assert table.ordinates[0] == 15.0
     assert abs(table.ordinates[1] - 16.1) < 1e-9
@@ -330,7 +383,7 @@ def _hardy_rounding_bound(t):
 
 def test_hardy_function_is_real_rotation():
     for t in (14.0, 20.0, 33.3):
-        w = cmath.exp(complex(0.0, riemann_siegel_theta(t))) * zeta_critical_line(t)
+        w = cmath.exp(complex(0.0, riemann_siegel_theta(t))) * zeta_em(complex(0.5, t)).value
         assert abs(w.imag) < 1e-9 * max(1.0, abs(w))
         assert abs(hardy_z(t) - w.real) <= _hardy_rounding_bound(t)
 
